@@ -252,30 +252,60 @@ func TestLSBenchCLIListAndTable2(t *testing.T) {
 	}
 }
 
-func TestLSStdCLISaveLoadSpace(t *testing.T) {
+// TestLSStdCLIRegistryCycle drives -registry-dir through a corpus's life:
+// seed, warm load without -corpus, add a script and re-sync, re-sync with
+// nothing changed. Runs over the same corpus print the same script.
+func TestLSStdCLIRegistryCycle(t *testing.T) {
 	bin := buildCLIs(t)
 	dir, csv, scriptPath, corpusDir := writeFixtures(t)
-	space := filepath.Join(dir, "space.json")
-	// Curate once and save.
-	cmd := exec.Command(filepath.Join(bin, "lsstd"),
-		"-script", scriptPath, "-corpus", corpusDir, "-data", csv,
-		"-tau", "0.5", "-seq", "4", "-save-space", space)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("save-space: %v\n%s", err, out)
+	regDir := filepath.Join(dir, "registry")
+	lsstd := func(extra ...string) (stdout, stderr string) {
+		t.Helper()
+		args := append([]string{"-script", scriptPath, "-data", csv, "-tau", "0.5", "-seq", "4"}, extra...)
+		cmd := exec.Command(filepath.Join(bin, "lsstd"), args...)
+		var errBuf strings.Builder
+		cmd.Stderr = &errBuf
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("lsstd %v: %v\n%s", extra, err, errBuf.String())
+		}
+		return string(out), errBuf.String()
 	}
-	if _, err := os.Stat(space); err != nil {
-		t.Fatal("search space file missing")
+	wantLog := func(stderr, want string) {
+		t.Helper()
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("stderr missing %q:\n%s", want, stderr)
+		}
 	}
-	// Reuse without the corpus directory.
-	cmd2 := exec.Command(filepath.Join(bin, "lsstd"),
-		"-script", scriptPath, "-load-space", space, "-data", csv,
-		"-tau", "0.5", "-seq", "4")
-	out2, err := cmd2.Output()
-	if err != nil {
-		t.Fatalf("load-space: %v", err)
+
+	seeded, log := lsstd("-registry-dir", regDir, "-corpus", corpusDir)
+	wantLog(log, "curated 4 scripts, published v1")
+	if !strings.Contains(seeded, "read_csv") {
+		t.Fatalf("seed output:\n%s", seeded)
 	}
-	if !strings.Contains(string(out2), "read_csv") {
-		t.Fatalf("load-space output:\n%s", out2)
+	if plain, _ := lsstd("-corpus", corpusDir); plain != seeded {
+		t.Fatalf("registry run differs from in-process curation:\n%s\nvs\n%s", seeded, plain)
+	}
+	warm, log := lsstd("-registry-dir", regDir)
+	wantLog(log, "warm-loaded v1 (4 scripts)")
+	if warm != seeded {
+		t.Fatalf("warm load differs from seed:\n%s\nvs\n%s", warm, seeded)
+	}
+
+	extra := `import pandas as pd
+df = pd.read_csv("diabetes.csv")
+df = df.dropna()
+y = df["Outcome"]
+`
+	if err := os.WriteFile(filepath.Join(corpusDir, "se.py"), []byte(extra), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	synced, log := lsstd("-registry-dir", regDir, "-corpus", corpusDir)
+	wantLog(log, "+1 -0 scripts, published v2 (5 live)")
+	again, log := lsstd("-registry-dir", regDir, "-corpus", corpusDir)
+	wantLog(log, "up to date at v2 (5 scripts)")
+	if again != synced {
+		t.Fatalf("re-sync output differs:\n%s\nvs\n%s", again, synced)
 	}
 }
 

@@ -54,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -268,26 +267,22 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 	}
 
 	regDir := filepath.Join(registryBase, name)
-	var reg *registry.Registry
+	// A boot never re-curates or publishes over an initialized registry:
+	// it warm-loads, and reconciling is left to a registry writer.
+	corpusDir := parts[0]
 	if registry.IsInitialized(regDir) {
-		var err error
-		reg, err = registry.Open(regDir)
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: opening registry %s: %w", name, regDir, err)
-		}
-		fmt.Fprintf(os.Stderr, "lsserved: dataset %q warm-booting from registry %s (v%d)\n",
-			name, regDir, reg.Version())
-	} else {
-		members, err := loadCorpusMembers(parts[0])
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: %w", name, err)
-		}
-		reg, err = registry.Create(regDir, members)
-		if err != nil {
-			return "", nil, nil, fmt.Errorf("dataset %q: creating registry %s: %w", name, regDir, err)
-		}
+		corpusDir = ""
+	}
+	reg, rep, err := registry.Sync(regDir, corpusDir)
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("dataset %q: registry %s: %w", name, regDir, err)
+	}
+	if rep.Created {
 		fmt.Fprintf(os.Stderr, "lsserved: dataset %q curated %d scripts into registry %s (v%d)\n",
 			name, reg.NumScripts(), regDir, reg.Version())
+	} else {
+		fmt.Fprintf(os.Stderr, "lsserved: dataset %q warm-booting from registry %s (v%d)\n",
+			name, regDir, reg.Version())
 	}
 	sys, err := lucidscript.NewSystemFromRegistry(reg, sources, opts)
 	if err != nil {
@@ -307,67 +302,18 @@ func buildDataset(spec string, opts lucidscript.Options, registryBase string) (s
 	return name, sys, reload, nil
 }
 
-// loadCorpusMembers reads every *.ls / *.py script in dir as a registry
-// member keyed by file name, sorted for a stable curation order.
-func loadCorpusMembers(dir string) ([]registry.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
-	}
-	members := make([]registry.Script, 0, len(names))
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, registry.Script{ID: n, Source: string(b)})
-	}
-	return members, nil
-}
-
-// loadCorpus reads every *.ls / *.py script in dir, sorted by name.
+// loadCorpus parses the corpus directory's scripts for in-process
+// curation; a script that does not parse fails the boot.
 func loadCorpus(dir string) ([]*lucidscript.Script, error) {
-	entries, err := os.ReadDir(dir)
+	members, err := registry.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
+	corpus := make([]*lucidscript.Script, len(members))
+	for i, m := range members {
+		if corpus[i], err = lucidscript.ParseScript(m.Source); err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", m.ID, err)
 		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var corpus []*lucidscript.Script
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		sc, err := lucidscript.ParseScript(string(b))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", n, err)
-		}
-		corpus = append(corpus, sc)
-	}
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
 	}
 	return corpus, nil
 }

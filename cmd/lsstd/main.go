@@ -40,7 +40,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,9 +61,7 @@ func main() {
 		scriptPath  = flag.String("script", "", "path to the input LSL script (required unless -jobs)")
 		jobsGlob    = flag.String("jobs", "", "glob of input scripts to standardize as one concurrent batch")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for -jobs (0 = GOMAXPROCS)")
-		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -load-space or -registry-dir)")
-		saveSpace   = flag.String("save-space", "", "write the curated search space to this file")
-		loadSpace   = flag.String("load-space", "", "load a search space written by -save-space instead of curating -corpus")
+		corpusDir   = flag.String("corpus", "", "directory of corpus scripts (required unless -registry-dir)")
 		registryDir = flag.String("registry-dir", "", "corpus-registry directory: warm-load the curated state; with -corpus, diff the directory against the registry and publish a new version incrementally")
 		measure     = flag.String("measure", "jaccard", "user-intent measure: jaccard or model")
 		tau         = flag.Float64("tau", 0, "intent threshold (default 0.9 jaccard / 1% model)")
@@ -86,12 +83,8 @@ func main() {
 	flag.Var(&dataPaths, "data", "CSV data file (repeatable)")
 	flag.Parse()
 
-	if (*scriptPath == "" && *jobsGlob == "") || (*corpusDir == "" && *loadSpace == "" && *registryDir == "") || len(dataPaths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: lsstd (-script prep.ls | -jobs 'glob') (-corpus dir | -load-space file | -registry-dir dir) -data file.csv")
-		os.Exit(2)
-	}
-	if *registryDir != "" && *loadSpace != "" {
-		fmt.Fprintln(os.Stderr, "lsstd: -registry-dir and -load-space are mutually exclusive")
+	if (*scriptPath == "" && *jobsGlob == "") || (*corpusDir == "" && *registryDir == "") || len(dataPaths) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: lsstd (-script prep.ls | -jobs 'glob') (-corpus dir | -registry-dir dir [-corpus dir]) -data file.csv")
 		os.Exit(2)
 	}
 	if *lint && *scriptPath == "" {
@@ -156,21 +149,12 @@ func main() {
 	}
 	var sys *lucidscript.System
 	if *registryDir != "" {
-		reg, err := syncRegistry(*registryDir, *corpusDir)
+		reg, rep, err := registry.Sync(*registryDir, *corpusDir)
 		if err != nil {
 			fatal(err)
 		}
+		reportSync(*registryDir, *corpusDir, reg, rep)
 		sys, err = lucidscript.NewSystemFromRegistry(reg, sources, opts)
-		if err != nil {
-			fatal(err)
-		}
-	} else if *loadSpace != "" {
-		fh, err := os.Open(*loadSpace)
-		if err != nil {
-			fatal(err)
-		}
-		sys, err = lucidscript.LoadSystem(fh, sources, opts)
-		fh.Close()
 		if err != nil {
 			fatal(err)
 		}
@@ -183,17 +167,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-	if *saveSpace != "" {
-		fh, err := os.Create(*saveSpace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sys.SaveSearchSpace(fh); err != nil {
-			fatal(err)
-		}
-		fh.Close()
-		fmt.Fprintf(os.Stderr, "search space written to %s\n", *saveSpace)
 	}
 	stats := sys.Stats()
 	fmt.Fprintf(os.Stderr, "corpus: %d scripts, %d unique 1-grams, %d n-grams, %d edges\n",
@@ -339,155 +312,39 @@ func dumpMetrics(m *lucidscript.Metrics) {
 	}
 }
 
-// syncRegistry opens (or creates) the corpus registry at regDir and, when
-// a corpus directory is also given, reconciles the registry against it:
-// scripts new to the directory are added, scripts that vanished are
-// removed, and scripts whose content changed are replaced — one
-// incremental Apply + Publish instead of a from-scratch curation. With no
-// corpus directory the registry is warm-loaded as-is.
-func syncRegistry(regDir, corpusDir string) (*registry.Registry, error) {
-	if !registry.IsInitialized(regDir) {
-		if corpusDir == "" {
-			return nil, fmt.Errorf("registry %s is empty; pass -corpus to seed it", regDir)
-		}
-		members, err := loadCorpusMembers(corpusDir)
-		if err != nil {
-			return nil, err
-		}
-		reg, err := registry.Create(regDir, members)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "registry %s: curated %d scripts, published v%d\n",
-			regDir, reg.NumScripts(), reg.Version())
-		return reg, nil
-	}
-
-	reg, err := registry.Open(regDir)
-	if err != nil {
-		return nil, err
-	}
+// reportSync notes on stderr what registry.Sync did to the registry.
+func reportSync(regDir, corpusDir string, reg *registry.Registry, rep registry.SyncReport) {
 	for _, d := range reg.Diagnostics() {
 		fmt.Fprintln(os.Stderr, "registry:", d)
 	}
-	if corpusDir == "" {
+	switch {
+	case rep.Created:
+		fmt.Fprintf(os.Stderr, "registry %s: curated %d scripts, published v%d\n",
+			regDir, reg.NumScripts(), reg.Version())
+	case corpusDir == "":
 		fmt.Fprintf(os.Stderr, "registry %s: warm-loaded v%d (%d scripts)\n",
 			regDir, reg.Version(), reg.NumScripts())
-		return reg, nil
-	}
-
-	want, err := loadCorpusMembers(corpusDir)
-	if err != nil {
-		return nil, err
-	}
-	have, err := reg.Members()
-	if err != nil {
-		return nil, err
-	}
-	haveByID := make(map[string]registry.Script, len(have))
-	for _, m := range have {
-		haveByID[m.ID] = m
-	}
-	var add, remove []registry.Script
-	for _, m := range want {
-		// The registry normalizes non-positive weights to 1 on ingest;
-		// mirror that so an unchanged directory diffs clean.
-		wantWeight := m.Weight
-		if wantWeight <= 0 {
-			wantWeight = 1
-		}
-		prev, ok := haveByID[m.ID]
-		if !ok {
-			add = append(add, m)
-		} else if prev.Source != m.Source || prev.Weight != wantWeight {
-			remove = append(remove, prev)
-			add = append(add, m)
-		}
-		delete(haveByID, m.ID)
-	}
-	// Anything still in haveByID was never matched by the directory scan.
-	for _, m := range have {
-		if _, unmatched := haveByID[m.ID]; unmatched {
-			remove = append(remove, m)
-		}
-	}
-	if len(add) == 0 && len(remove) == 0 {
+	case rep.Added == 0 && rep.Removed == 0:
 		fmt.Fprintf(os.Stderr, "registry %s: up to date at v%d (%d scripts)\n",
 			regDir, reg.Version(), reg.NumScripts())
-		return reg, nil
+	default:
+		fmt.Fprintf(os.Stderr, "registry %s: +%d -%d scripts, published v%d (%d live)\n",
+			regDir, rep.Added, rep.Removed, reg.Version(), reg.NumScripts())
 	}
-	// Replaced scripts appear in both lists; Apply validates adds against
-	// the pre-remove membership, so tombstone first, then add.
-	if err := reg.Apply(nil, remove); err != nil {
-		return nil, err
-	}
-	if err := reg.Apply(add, nil); err != nil {
-		return nil, err
-	}
-	v, err := reg.Publish()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "registry %s: +%d -%d scripts, published v%d (%d live)\n",
-		regDir, len(add), len(remove), v, reg.NumScripts())
-	return reg, nil
 }
 
-// loadCorpusMembers reads every *.ls / *.py script in dir as a registry
-// member keyed by file name.
-func loadCorpusMembers(dir string) ([]registry.Script, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no *.ls or *.py scripts in %s", dir)
-	}
-	members := make([]registry.Script, 0, len(names))
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, registry.Script{ID: n, Source: string(b)})
-	}
-	return members, nil
-}
-
+// loadCorpus parses the corpus directory's scripts for in-process
+// curation, skipping (with a warning) any that do not parse.
 func loadCorpus(dir string) ([]*lucidscript.Script, error) {
-	entries, err := os.ReadDir(dir)
+	members, err := registry.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".ls") || strings.HasSuffix(e.Name(), ".py") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	var corpus []*lucidscript.Script
-	for _, n := range names {
-		b, err := os.ReadFile(filepath.Join(dir, n))
+	for _, m := range members {
+		s, err := lucidscript.ParseScript(m.Source)
 		if err != nil {
-			return nil, err
-		}
-		s, err := lucidscript.ParseScript(string(b))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", n, err)
+			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", m.ID, err)
 			continue
 		}
 		corpus = append(corpus, s)

@@ -136,8 +136,8 @@ func TestNewWeightedChangesDistribution(t *testing.T) {
 	rare := script.MustParse("import pandas as pd\ndf = pd.read_csv(\"diabetes.csv\")\ndf = df.dropna()\n")
 	common := script.MustParse("import pandas as pd\ndf = pd.read_csv(\"diabetes.csv\")\ndf = df.fillna(df.mean())\n")
 	corpus := []*script.Script{rare, common}
-	plain := NewWeighted(corpus, nil, sources, DefaultConfig())
-	weighted := NewWeighted(corpus, []int{10, 1}, sources, DefaultConfig())
+	plain := New(corpus, sources, DefaultConfig())
+	weighted := FromCorpus(CurateWeighted(corpus, []int{10, 1}, sources), DefaultConfig())
 	// Under the weighted corpus, the "rare" script's steps dominate, so its
 	// RE must be lower there than under the unweighted corpus.
 	g := script.MustParse(rare.Source())

@@ -108,18 +108,11 @@ func (st *Standardizer) checkScript(ctx context.Context, sess interp.Session, s 
 
 // New curates the search space from corpus scripts (offline phase): each is
 // lemmatized and converted to its DAG, and the atom/edge vocabularies and
-// corpus distribution are built.
+// corpus distribution are built. Curation degrades gracefully: a corpus
+// script that fails to lemmatize is skipped and recorded in the corpus
+// Diagnostics rather than aborting.
 func New(corpus []*script.Script, sources map[string]*frame.Frame, cfg Config) *Standardizer {
-	return NewWeighted(corpus, nil, sources, cfg)
-}
-
-// NewWeighted is New with per-script corpus weights (e.g. Kaggle votes, see
-// Section 8); a script with weight w counts as w copies in the corpus
-// distribution. Nil weights or non-positive entries default to 1. Curation
-// degrades gracefully: a corpus script that fails to lemmatize is skipped
-// and recorded in the corpus Diagnostics rather than aborting.
-func NewWeighted(corpus []*script.Script, weights []int, sources map[string]*frame.Frame, cfg Config) *Standardizer {
-	return FromCorpus(CurateWeightedFaults(corpus, weights, sources, cfg.Faults), cfg)
+	return FromCorpus(CurateWeightedFaults(corpus, nil, sources, cfg.Faults), cfg)
 }
 
 // FromCorpus binds an already-curated corpus to a configuration without

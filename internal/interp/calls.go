@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"lucidscript/internal/frame"
 	"lucidscript/internal/script"
@@ -297,12 +298,10 @@ type rankPair struct {
 	v   float64
 }
 
+// sortPairs orders ps by value; ties keep their row order, which fixes
+// which bin a run of equal values straddling a boundary lands in.
 func sortPairs(ps []rankPair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].v < ps[j-1].v; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
 }
 
 func (e *Env) callNumpy(name string, c *call) (Value, error) {

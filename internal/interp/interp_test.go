@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -337,6 +338,60 @@ df["FareQ"] = pd.qcut(df["Fare"], 4)
 	fq, _ := res.Main.Column("FareQ")
 	if len(fq.Unique()) != 4 {
 		t.Fatalf("qcut bins = %v", fq.Unique())
+	}
+}
+
+// TestQcutTiesAndNaN pins qcut's labels where a run of equal values
+// straddles a bin boundary: ties are ranked in row order, and nulls stay
+// unlabeled.
+func TestQcutTiesAndNaN(t *testing.T) {
+	nan := math.NaN()
+	labels := func(s *frame.Series) []string {
+		out := make([]string, s.Len())
+		for i := range out {
+			out[i] = s.StringAt(i)
+		}
+		return out
+	}
+	got := labels(binEqualFreq(frame.NewFloatSeries("v", []float64{2, 1, nan, 2, 2, 1, 3, nan, 2}), 3))
+	want := []string{"q0", "q0", "", "q1", "q1", "q0", "q2", "", "q1"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("qcut labels = %q, want %q", got, want)
+	}
+
+	// Long enough that an unstable sort would reorder the ties: each row's
+	// bin must follow its rank by (value, row).
+	vals := make([]float64, 200)
+	for i := range vals {
+		vals[i] = float64(i * 7 % 5)
+		if i%11 == 0 {
+			vals[i] = nan
+		}
+	}
+	got = labels(binEqualFreq(frame.NewFloatSeries("v", vals), 4))
+	valid := 0
+	for _, v := range vals {
+		if !math.IsNaN(v) {
+			valid++
+		}
+	}
+	per := (valid + 3) / 4
+	rank := 0
+	for v := 0.0; v < 5; v++ {
+		for i, x := range vals {
+			if x != v {
+				continue
+			}
+			if want := fmt.Sprintf("q%d", rank/per); got[i] != want {
+				t.Fatalf("row %d (value %v, rank %d): label %q, want %q", i, x, rank, got[i], want)
+			}
+			rank++
+		}
+	}
+	for i, x := range vals {
+		if math.IsNaN(x) && got[i] != "" {
+			t.Fatalf("null row %d labeled %q", i, got[i])
+		}
 	}
 }
 

@@ -49,7 +49,9 @@ type Session interface {
 // trieNode is one executed statement prefix. The path from the root spells
 // the exact statement texts executed so far; env is the (immutable) forked
 // environment after executing that prefix, or nil when the prefix fails,
-// in which case err holds the failure.
+// in which case err holds the failure. A detached node is no longer
+// reachable from the root — evicted, or built under an evicted node — so
+// nothing is ever inserted under it.
 type trieNode struct {
 	key      string
 	parent   *trieNode
@@ -57,6 +59,7 @@ type trieNode struct {
 	env      *Env
 	err      error
 	lastUsed int64
+	detached bool
 }
 
 // SessionCache executes scripts statement-by-statement through a trie of
@@ -172,7 +175,9 @@ func (c *SessionCache) Stats() CacheStats {
 // On a hit the cached child is returned; on a miss the parent environment is
 // forked and the statement executed outside the lock, then inserted. When two
 // goroutines race on the same miss, the first insert wins and the loser's
-// result is discarded — determinism makes them interchangeable.
+// result is discarded — determinism makes them interchangeable. If node was
+// evicted while the statement ran, the child is returned detached instead of
+// inserted, so the node count only ever covers the reachable trie.
 func (c *SessionCache) step(node *trieNode, line int, st script.Stmt) (*trieNode, CacheStats, error) {
 	key := st.Source()
 	c.mu.Lock()
@@ -221,6 +226,11 @@ func (c *SessionCache) step(node *trieNode, line int, st script.Stmt) (*trieNode
 		return child, delta, child.err
 	}
 	child := &trieNode{key: key, parent: node, env: env, err: execErr, lastUsed: c.clock}
+	if node.detached {
+		child.detached = true
+		c.mu.Unlock()
+		return child, delta, child.err
+	}
 	if node.children == nil {
 		node.children = make(map[string]*trieNode)
 	}
@@ -295,6 +305,7 @@ func (c *SessionCache) evictLocked() {
 				break
 			}
 			delete(v.parent.children, v.key)
+			v.detached = true
 			c.nodes--
 			c.stats.Evictions++
 		}

@@ -403,19 +403,20 @@ func buildBinary(t *testing.T, pkg string) string {
 	return bin
 }
 
-// startProc launches a server process and blocks until its /healthz
-// answers; fatal if it does not come up.
+// startProc launches a server process and blocks until its /readyz
+// answers 200; fatal if it does not come up.
 func startProc(t *testing.T, bin string, args []string, base string) *exec.Cmd {
 	t.Helper()
 	cmd := tryStartProc(t, bin, args, base)
 	if cmd == nil {
-		t.Fatalf("%s did not become healthy in time", filepath.Base(bin))
+		t.Fatalf("%s did not become ready in time", filepath.Base(bin))
 	}
 	return cmd
 }
 
 // tryStartProc is startProc without the fatal: nil when the process did
-// not answer /healthz within the window (e.g. its port was still held).
+// not answer /readyz within the window (e.g. its port was still held).
+// Readiness, not liveness: /healthz answers while a replica still boots.
 func tryStartProc(t *testing.T, bin string, args []string, base string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -435,7 +436,7 @@ func tryStartProc(t *testing.T, bin string, args []string, base string) *exec.Cm
 		if cmd.ProcessState != nil { // exited (port clash, bad flags)
 			return nil
 		}
-		if _, err := cli.Healthz(context.Background()); err == nil {
+		if cli.Readyz(context.Background()) == nil {
 			return cmd
 		}
 		time.Sleep(10 * time.Millisecond)

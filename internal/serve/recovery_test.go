@@ -259,7 +259,9 @@ func writeCorpus(t *testing.T, corpusDir, dataCSV string) {
 	}
 }
 
-// startLsserved launches the server and blocks until /healthz answers.
+// startLsserved launches the server and blocks until /readyz answers 200.
+// /healthz already answers while the server is still booting, when jobs
+// would be refused with 503 not_ready.
 func startLsserved(t *testing.T, bin string, args []string, base string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -276,12 +278,12 @@ func startLsserved(t *testing.T, bin string, args []string, base string) *exec.C
 	client := NewClient(base, nil)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := client.Healthz(context.Background()); err == nil {
+		if client.Readyz(context.Background()) == nil {
 			return cmd
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("lsserved did not become healthy in 30s")
+	t.Fatal("lsserved did not become ready in 30s")
 	return nil
 }
 

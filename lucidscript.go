@@ -332,10 +332,10 @@ func (o Options) constraint() intent.Constraint {
 	}
 }
 
-// The typed errors returned by NewSystem, LoadSystem, Validate, and the
-// standardization entry points; all work with errors.Is. ErrCanceled and
-// ErrDeadlineExceeded additionally match context.Canceled and
-// context.DeadlineExceeded respectively.
+// The typed errors returned by NewSystem, NewSystemFromRegistry, Validate,
+// and the standardization entry points; all work with errors.Is.
+// ErrCanceled and ErrDeadlineExceeded additionally match context.Canceled
+// and context.DeadlineExceeded respectively.
 var (
 	// ErrEmptyCorpus is returned when no corpus scripts are supplied.
 	ErrEmptyCorpus = errors.New("lucidscript: corpus is empty")
@@ -538,6 +538,13 @@ func NewSystem(corpus []*Script, sources map[string]*Frame, opts Options) (*Syst
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	cc := core.CurateWeightedFaults(corpus, opts.Weights, sources, opts.Faults)
+	return newSystem(cc, len(corpus), opts), nil
+}
+
+// newSystem binds an already-curated corpus to validated options. Under
+// Options.Auto, AutoConfig sees autoScripts as the corpus size.
+func newSystem(cc *core.CuratedCorpus, autoScripts int, opts Options) *System {
 	opts = opts.resolved()
 	cfg := core.DefaultConfig()
 	cfg.SeqLength = opts.SeqLength
@@ -553,12 +560,10 @@ func NewSystem(corpus []*Script, sources map[string]*Frame, opts Options) (*Syst
 	cfg.Limits = opts.ExecLimits
 	cfg.Faults = opts.Faults
 	cfg.Constraint = opts.constraint()
-	std := core.NewWeighted(corpus, opts.Weights, sources, cfg)
 	if opts.Auto {
-		seq, k := core.AutoConfig(len(corpus), std.Corpus.Vocab.NumUniqueEdges())
-		std.Config.SeqLength, std.Config.BeamSize = seq, k
+		cfg.SeqLength, cfg.BeamSize = core.AutoConfig(autoScripts, cc.Vocab.NumUniqueEdges())
 	}
-	return &System{std: std, timeout: opts.Timeout, batchWorkers: opts.BatchWorkers}, nil
+	return &System{std: core.FromCorpus(cc, cfg), timeout: opts.Timeout, batchWorkers: opts.BatchWorkers}
 }
 
 // Standardize returns the standardized version of the input script. It is
@@ -769,63 +774,22 @@ func (s *System) Stats() CorpusStats {
 	}
 }
 
-// SaveSearchSpace serializes the curated search space (the offline phase's
-// output: atom/edge vocabularies, corpus distribution, atom positions) so a
-// later session can LoadSystem without re-curating the corpus.
-func (s *System) SaveSearchSpace(w io.Writer) error {
-	return s.std.Corpus.Vocab.Encode(w)
-}
-
-// LoadSystem rebuilds a System from a search space written by
-// SaveSearchSpace plus the input dataset. Options are applied as in
-// NewSystem (the corpus itself is not needed again).
-func LoadSystem(r io.Reader, sources map[string]*Frame, opts Options) (*System, error) {
-	vocab, err := entropy.DecodeVocab(r)
-	if err != nil {
-		return nil, err
-	}
-	// Build an empty system shell, then install the decoded vocabulary.
-	placeholder, err := ParseScript("import pandas as pd")
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem([]*Script{placeholder}, sources, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys.std.Corpus.Vocab = vocab
-	if opts.Auto {
-		seq, k := core.AutoConfig(vocab.NumScripts, vocab.NumUniqueEdges())
-		sys.std.Config.SeqLength, sys.std.Config.BeamSize = seq, k
-	}
-	return sys, nil
-}
-
 // NewSystemFromRegistry builds a System over a corpus registry snapshot
 // plus the input dataset: the registry's already-folded search space is
 // installed directly (curation is never re-run), and the snapshot's
 // version is stamped onto the corpus so serving layers can report — and
 // fault keys can include — exactly which corpus generation a job ran
-// against. Options apply as in NewSystem. The registry's vocabulary is
+// against. Options apply as in NewSystem; under Options.Auto the corpus
+// size is the registry's script count. The registry's vocabulary is
 // immutable, so the System stays valid even as the registry itself moves
 // to newer versions.
 func NewSystemFromRegistry(reg *registry.Registry, sources map[string]*Frame, opts Options) (*System, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	vocab := reg.Vocab()
-	placeholder, err := ParseScript("import pandas as pd")
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem([]*Script{placeholder}, sources, opts)
-	if err != nil {
-		return nil, err
-	}
-	sys.std.Corpus.Vocab = vocab
-	sys.std.Corpus.Version = reg.Version()
-	if opts.Auto {
-		seq, k := core.AutoConfig(vocab.NumScripts, vocab.NumUniqueEdges())
-		sys.std.Config.SeqLength, sys.std.Config.BeamSize = seq, k
-	}
-	return sys, nil
+	cc := &core.CuratedCorpus{Vocab: vocab, Sources: sources, Version: reg.Version()}
+	return newSystem(cc, vocab.NumScripts, opts), nil
 }
 
 // CorpusVersion reports the registry snapshot version this System's corpus

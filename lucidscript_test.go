@@ -2,8 +2,12 @@ package lucidscript
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"lucidscript/internal/core"
+	"lucidscript/internal/registry"
 )
 
 const testCSV = `Glucose,SkinThickness,Age,Outcome
@@ -174,37 +178,94 @@ func TestReadCSVFacade(t *testing.T) {
 	}
 }
 
-func TestSaveLoadSearchSpace(t *testing.T) {
-	sys := newTestSystem(t, Options{Tau: 0.5, SeqLength: 6})
-	var buf strings.Builder
-	if err := sys.SaveSearchSpace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := ReadCSV(strings.NewReader(testCSV))
-	loaded, err := LoadSystem(strings.NewReader(buf.String()),
-		map[string]*Frame{"diabetes.csv": data}, Options{Tau: 0.5, SeqLength: 6})
+// TestNewSystemFromRegistryMatchesNewSystem pins the registry-backed
+// System to the in-process one over the same scripts: same statistics,
+// same Auto configuration, same standardized script and output hash —
+// and no curation run to get there.
+func TestNewSystemFromRegistryMatchesNewSystem(t *testing.T) {
+	data, err := ReadCSV(strings.NewReader(testCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Stats() != sys.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", loaded.Stats(), sys.Stats())
+	sources := map[string]*Frame{"diabetes.csv": data}
+	srcs := []string{corpusScript, corpusScript, `import pandas as pd
+df = pd.read_csv("diabetes.csv")
+df = df.dropna()
+df = pd.get_dummies(df)
+y = df["Outcome"]
+`, `import pandas as pd
+df = pd.read_csv("diabetes.csv")
+df = df.fillna(df.median())
+df = df[df["Age"] < 55]
+y = df["Outcome"]
+`}
+	var corpus []*Script
+	var members []registry.Script
+	for i, src := range srcs {
+		sc, err := ParseScript(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, sc)
+		members = append(members, registry.Script{ID: fmt.Sprintf("s%d.ls", i), Source: src})
 	}
-	input, _ := ParseScript(`import pandas as pd
+	reg, err := registry.Create(t.TempDir(), members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input, err := ParseScript(`import pandas as pd
 df = pd.read_csv("diabetes.csv")
 df = df.fillna(df.median())
 `)
-	a, err := sys.Standardize(input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Standardize(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Script.Source() != b.Script.Source() {
-		t.Fatalf("loaded system differs:\n%s\nvs\n%s", a.Script.Source(), b.Script.Source())
-	}
-	if _, err := LoadSystem(strings.NewReader("oops"), nil, Options{}); err == nil {
-		t.Fatal("bad search space should error")
+
+	for _, opts := range []Options{{Tau: 0.5, SeqLength: 6}, {Tau: 0.5, Auto: true}} {
+		curated, err := NewSystem(corpus, sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := core.CurateCalls()
+		loaded, err := NewSystemFromRegistry(reg, sources, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := core.CurateCalls() - before; got != 0 {
+			t.Fatalf("NewSystemFromRegistry curated %d times, want 0", got)
+		}
+		if loaded.CorpusVersion() != 1 || curated.CorpusVersion() != 0 {
+			t.Fatalf("corpus versions = %d (registry), %d (curated)", loaded.CorpusVersion(), curated.CorpusVersion())
+		}
+		if loaded.Stats() != curated.Stats() {
+			t.Fatalf("stats differ: %+v vs %+v", loaded.Stats(), curated.Stats())
+		}
+		lc, cc := loaded.std.Config, curated.std.Config
+		if lc.SeqLength != cc.SeqLength || lc.BeamSize != cc.BeamSize {
+			t.Fatalf("opts %+v: seq/beam = %d/%d (registry) vs %d/%d (curated)",
+				opts, lc.SeqLength, lc.BeamSize, cc.SeqLength, cc.BeamSize)
+		}
+		a, err := curated.Standardize(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := loaded.Standardize(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Script.Source() != b.Script.Source() {
+			t.Fatalf("registry system differs:\n%s\nvs\n%s", b.Script.Source(), a.Script.Source())
+		}
+		ha, err := curated.OutputHash(a.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err := loaded.OutputHash(b.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ha != hb {
+			t.Fatalf("output hash %s (registry) vs %s (curated)", hb, ha)
+		}
 	}
 }
