@@ -278,7 +278,8 @@ func batchBenchJobs(b *testing.B) (*corpusgen.Generated, []*Script) {
 // corpus is curated once and every job shares the execution-prefix cache.
 // Compare against BenchmarkStandardizeSequentialBaseline, which is what the
 // same N jobs cost as independent single-shot users (one NewSystem each);
-// cmd/lsbench -exp batch records the same comparison in BENCH_batch.json.
+// cmd/lsbench -exp batch measures the same comparison at full scale, and
+// its sequential_ms/batch_ms records in BENCH_ledger.json are gated in CI.
 func BenchmarkStandardizeBatch(b *testing.B) {
 	gen, jobs := batchBenchJobs(b)
 	corpus := gen.ScriptsOnly()

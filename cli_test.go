@@ -435,17 +435,22 @@ df = df[df["Age"] < 45]
 	}
 }
 
+// TestLSBenchCLIBatchJSON runs two gated experiments with one -json file
+// and checks that the file holds both experiments' perf-ledger records —
+// lsbench writes the union once, after every experiment has run.
 func TestLSBenchCLIBatchJSON(t *testing.T) {
 	bin := buildCLIs(t)
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_batch.json")
+	jsonPath := filepath.Join(t.TempDir(), "report.json")
 	out, err := exec.Command(filepath.Join(bin, "lsbench"),
-		"-exp", "batch", "-q", "-datasets", "Medical", "-scripts", "2",
+		"-exp", "batch,serve", "-q", "-datasets", "Medical", "-scripts", "2",
 		"-rowscale", "0.01", "-json", jsonPath).Output()
 	if err != nil {
-		t.Fatalf("lsbench -exp batch: %v", err)
+		t.Fatalf("lsbench -exp batch,serve: %v", err)
 	}
-	if !strings.Contains(string(out), "Batch standardization") {
-		t.Fatalf("batch table missing:\n%s", out)
+	for _, title := range []string{"Batch standardization", "HTTP service vs direct"} {
+		if !strings.Contains(string(out), title) {
+			t.Fatalf("table %q missing:\n%s", title, out)
+		}
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -455,19 +460,33 @@ func TestLSBenchCLIBatchJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &records); err != nil {
 		t.Fatalf("unmarshal %s: %v", jsonPath, err)
 	}
-	if len(records) != 1 {
-		t.Fatalf("records = %d, want 1", len(records))
+	want := map[string]bool{
+		"batch/sequential_ms": false, "batch/batch_ms": false,
+		"serve/direct_ms": false, "serve/served_ms": false,
 	}
-	rec := records[0]
-	if rec["dataset"] != "Medical" || rec["jobs"] != float64(2) {
-		t.Fatalf("record fields: %v", rec)
+	if len(records) != len(want) {
+		t.Fatalf("records = %d, want %d: %s", len(records), len(want), data)
 	}
-	if rec["identical"] != true {
-		t.Fatalf("batch output not identical to sequential: %v", rec)
+	for _, rec := range records {
+		if len(rec) != 6 {
+			t.Fatalf("record is not in ledger shape: %v", rec)
+		}
+		for _, key := range []string{"experiment", "case", "metric", "unit", "value", "identical"} {
+			if _, ok := rec[key]; !ok {
+				t.Fatalf("record missing %q: %v", key, rec)
+			}
+		}
+		if rec["case"] != "Medical" || rec["unit"] != "ms" || rec["identical"] != true {
+			t.Fatalf("record fields: %v", rec)
+		}
+		if v, _ := rec["value"].(float64); v <= 0 {
+			t.Fatalf("record value: %v", rec)
+		}
+		want[rec["experiment"].(string)+"/"+rec["metric"].(string)] = true
 	}
-	for _, key := range []string{"workers", "sequential_ms", "batch_ms", "speedup", "curate_ms", "cache_hits"} {
-		if _, ok := rec[key]; !ok {
-			t.Fatalf("record missing %q: %v", key, rec)
+	for key, seen := range want {
+		if !seen {
+			t.Fatalf("no %s record in %s", key, data)
 		}
 	}
 }

@@ -1,18 +1,21 @@
-// Command benchgate compares a perf report produced by `lsbench -exp
-// regress -json report.json` against the committed BENCH_batch.json /
-// BENCH_serve.json baselines and exits non-zero on regression.
+// Command benchgate is the perf-regression gate: it compares a perf-ledger
+// report produced by `lsbench -json` against the committed
+// BENCH_ledger.json and exits non-zero on regression.
 //
 // Usage:
 //
 //	lsbench -exp regress -batch-workers 1 -json report.json
 //	benchgate -report report.json
-//	benchgate -report report.json -warn 1.5 -fail 2.0
+//	benchgate -report report.json -baseline BENCH_ledger.json
 //
-// Wall-clock comparisons across machines are noisy, so the gate is
-// two-tier: ratios above -warn are printed but tolerated, ratios above
-// -fail (or any non-identical output) exit 1. CI runs it with the generous
-// defaults; refresh the baselines on the reference machine when the code
-// gets legitimately faster or slower.
+// Every record whose output was not byte-identical fails, as does a
+// floored record (a registry speedup contract) below its floor. Every
+// other record is a wall clock joined to its baseline record; wall clocks
+// across machines are noisy, so current/baseline ratios above 1.5 are
+// printed but tolerated and ratios above 3.0 exit 1. Exit status 2 means
+// the report or the ledger could not be read. Refresh the ledger on the
+// reference machine when the code gets legitimately faster or slower by
+// rerunning the lsbench command with -json BENCH_ledger.json.
 package main
 
 import (
@@ -25,13 +28,8 @@ import (
 
 func main() {
 	var (
-		report     = flag.String("report", "", "regress report JSON (from lsbench -exp regress -json)")
-		batchBase  = flag.String("batch-baseline", "BENCH_batch.json", "committed batch baseline")
-		serveBase  = flag.String("serve-baseline", "BENCH_serve.json", "committed serve baseline")
-		routeBase  = flag.String("route-baseline", "BENCH_route.json", "committed route baseline")
-		curateBase = flag.String("curate-baseline", "BENCH_curate.json", "committed curate baseline")
-		warn       = flag.Float64("warn", 1.5, "warn when current/baseline wall-clock exceeds this ratio")
-		fail       = flag.Float64("fail", 2.0, "fail when current/baseline wall-clock exceeds this ratio")
+		report   = flag.String("report", "", "perf-ledger report JSON (from lsbench -exp regress -json)")
+		baseline = flag.String("baseline", "BENCH_ledger.json", "committed perf-ledger baseline")
 	)
 	flag.Parse()
 	if *report == "" {
@@ -39,38 +37,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	rep, err := bench.LoadRegressReport(*report)
+	current, err := bench.LoadLedger(*report)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	bb, err := bench.LoadBatchBaseline(*batchBase)
+	base, err := bench.LoadLedger(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	sb, err := bench.LoadServeBaseline(*serveBase)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	// The route baseline is newer than the other two; a missing file is
-	// tolerated (its comparisons just degrade to "no baseline record")
-	// so the gate keeps working on checkouts predating BENCH_route.json.
-	rb, err := bench.LoadRouteBaseline(*routeBase)
-	if err != nil && !os.IsNotExist(err) {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	// Same forgiveness for the curate baseline, newer still.
-	cb, err := bench.LoadCurateBaseline(*curateBase)
-	if err != nil && !os.IsNotExist(err) {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
 
-	findings := bench.Gate(rep, bb, sb, rb, cb, bench.GateConfig{WarnRatio: *warn, FailRatio: *fail})
+	findings := bench.Gate(current, base)
 	fmt.Println(bench.GateTable(findings).Render())
 	fails, _, line := bench.GateSummary(findings)
 	fmt.Println(line)

@@ -7,6 +7,7 @@
 //	lsbench -exp all               # everything, in paper order
 //	lsbench -list                  # list experiments
 //	lsbench -exp fig6 -scripts 10 -rowscale 0.05 -seed 7
+//	lsbench -exp regress -batch-workers 1 -json report.json   # then: benchgate -report report.json
 package main
 
 import (
@@ -43,13 +44,7 @@ func main() {
 		maxCells    = flag.Int("max-cells", 0, "cap rows*cols of any value a candidate materializes (0 = governor off; setting this or -max-steps enables default budgets for the rest)")
 		maxSteps    = flag.Int("max-steps", 0, "cap statements per candidate execution (0 = governor off)")
 		batchWork   = flag.Int("batch-workers", 0, "worker pool size for the batch experiment (0 = GOMAXPROCS)")
-		jsonPath    = flag.String("json", "", "also write machine-readable results (batch, serve, regress experiments) to this JSON file")
-		batchBase   = flag.String("batch-baseline", "", "committed batch baseline for the regress experiment (e.g. BENCH_batch.json)")
-		serveBase   = flag.String("serve-baseline", "", "committed serve baseline for the regress experiment (e.g. BENCH_serve.json)")
-		routeBase   = flag.String("route-baseline", "", "committed route baseline for the regress experiment (e.g. BENCH_route.json)")
-		curateBase  = flag.String("curate-baseline", "", "committed curate baseline for the regress experiment (e.g. BENCH_curate.json)")
-		gateWarn    = flag.Float64("gate-warn", 1.5, "regress gate: warn when current/baseline wall-clock exceeds this ratio")
-		gateFail    = flag.Float64("gate-fail", 2.0, "regress gate: fail when current/baseline wall-clock exceeds this ratio")
+		jsonPath    = flag.String("json", "", "also write the perf-ledger records of every experiment run (batch, serve, route, curate, regress) to this JSON file")
 		quiet       = flag.Bool("q", false, "suppress progress output")
 		trace       = flag.Bool("trace", false, "stream structured search events to stderr")
 		metricsDump = flag.Bool("metrics-dump", false, "print cumulative search counters in Prometheus text format to stderr on exit")
@@ -68,20 +63,14 @@ func main() {
 		os.Exit(2)
 	}
 	opts := bench.Options{
-		Seed:               *seed,
-		RowScale:           *rowScale,
-		MinRows:            *minRows,
-		ScriptsPerDataset:  *scripts,
-		SeqLength:          *seq,
-		BeamSize:           *beam,
-		DisableExecCache:   *execCache == "off",
-		BatchWorkers:       *batchWork,
-		JSONPath:           *jsonPath,
-		BatchBaselinePath:  *batchBase,
-		ServeBaselinePath:  *serveBase,
-		RouteBaselinePath:  *routeBase,
-		CurateBaselinePath: *curateBase,
-		Gate:               bench.GateConfig{WarnRatio: *gateWarn, FailRatio: *gateFail},
+		Seed:              *seed,
+		RowScale:          *rowScale,
+		MinRows:           *minRows,
+		ScriptsPerDataset: *scripts,
+		SeqLength:         *seq,
+		BeamSize:          *beam,
+		DisableExecCache:  *execCache == "off",
+		BatchWorkers:      *batchWork,
 	}
 	if *maxCells > 0 || *maxSteps > 0 {
 		limits := interp.DefaultLimits()
@@ -116,6 +105,7 @@ func main() {
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
+	var records []bench.Record
 	for _, id := range ids {
 		e, err := bench.Lookup(id)
 		if err != nil {
@@ -130,6 +120,14 @@ func main() {
 		}
 		fmt.Printf("\n%s\n", t.Render())
 		fmt.Printf("[%s completed in %s]\n", e.ID, time.Since(start).Round(time.Millisecond))
+		records = append(records, t.Records...)
+	}
+	if *jsonPath != "" {
+		if err := bench.WriteLedger(*jsonPath, records); err != nil {
+			fmt.Fprintln(os.Stderr, "lsbench:", err)
+			os.Exit(1)
+		}
+		opts.Logf("%d ledger records written to %s", len(records), *jsonPath)
 	}
 	if metrics != nil {
 		if err := metrics.WritePrometheus(os.Stderr); err != nil {

@@ -10,53 +10,14 @@ import (
 	"lucidscript/internal/intent"
 )
 
-// BatchResult is the JSON shape written next to the "batch" experiment's
-// table (see Options.JSONPath): one record per dataset comparing a batch
-// standardization against the same jobs run sequentially, each with its own
-// freshly curated system.
-type BatchResult struct {
-	Dataset string `json:"dataset"`
-	Jobs    int    `json:"jobs"`
-	Workers int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best
-	// rep, the standard way to cut scheduler noise out of wall-clock runs.
-	Reps         int     `json:"reps"`
-	SequentialMS float64 `json:"sequential_ms"`
-	BatchMS      float64 `json:"batch_ms"`
-	Speedup      float64 `json:"speedup"`
-	// CurateMS is the one-time curation cost inside the batch run; the
-	// sequential baseline pays it once per job.
-	CurateMS float64 `json:"curate_ms"`
-	// CacheHits counts shared-session prefix hits across all batch jobs.
-	CacheHits int64 `json:"cache_hits"`
-	// Identical reports that every batch output matched its sequential
-	// counterpart byte for byte (the experiment fails otherwise).
-	Identical bool `json:"identical"`
-}
-
 // Batch measures the concurrent batch engine against the sequential
 // baseline the paper's single-user workflow implies: N users each curating
 // their own system and standardizing one script. The batch path curates
 // once, shares the execution-prefix cache, and fans jobs across workers;
-// outputs must stay byte-identical to the sequential runs.
+// outputs must stay byte-identical to the sequential runs. Each dataset
+// (and the "all" aggregate) contributes sequential_ms and batch_ms ledger
+// records.
 func Batch(opts Options) (*Table, error) {
-	records, table, err := BatchRecords(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.JSONPath != "" {
-		if err := writeJSON(opts.JSONPath, records); err != nil {
-			return nil, err
-		}
-		opts.logf("batch results written to %s", opts.JSONPath)
-	}
-	return table, nil
-}
-
-// BatchRecords runs the batch experiment and returns the per-dataset
-// records alongside the rendered table, without touching Options.JSONPath.
-// The regress experiment reuses it to assemble a combined report.
-func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 	opts = opts.withDefaults()
 	workers := opts.BatchWorkers
 	if workers <= 0 {
@@ -67,11 +28,29 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 		Title:  "Batch standardization vs sequential (one curation + shared cache vs per-job systems)",
 		Header: []string{"dataset", "jobs", "workers", "seq", "batch", "speedup", "curate", "cache hits"},
 	}
-	var records []BatchResult
+	// addRow renders one table row and emits its two ledger records.
+	addRow := func(name string, jobs int, seqMS, batchMS, curateMS float64, cacheHits int64) {
+		table.Rows = append(table.Rows, []string{
+			name,
+			fmt.Sprintf("%d", jobs),
+			fmt.Sprintf("%d", workers),
+			fmt.Sprintf("%.0fms", seqMS),
+			fmt.Sprintf("%.0fms", batchMS),
+			fmt.Sprintf("%.2fx", seqMS/batchMS),
+			fmt.Sprintf("%.0fms", curateMS),
+			fmt.Sprintf("%d", cacheHits),
+		})
+		table.Records = append(table.Records,
+			MSRecord("batch", name, "sequential_ms", seqMS),
+			MSRecord("batch", name, "batch_ms", batchMS))
+	}
+	var totalJobs int
+	var totalSeq, totalBatch, totalCurate float64
+	var totalHits int64
 	for _, name := range opts.Datasets {
 		gen, err := gc.get(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		corpus := gen.ScriptsOnly()
 		jobs := gen.Sample(opts.ScriptsPerDataset, opts.Seed+17)
@@ -95,7 +74,7 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 				std := core.New(corpus, gen.Sources, cfg)
 				res, err := std.Standardize(su)
 				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s sequential job %d: %w", name, i, err)
+					return nil, fmt.Errorf("bench: %s sequential job %d: %w", name, i, err)
 				}
 				seqOut[i] = res.Output.Source()
 			}
@@ -116,63 +95,28 @@ func BatchRecords(opts Options) ([]BatchResult, *Table, error) {
 			cacheHits = 0
 			for i := range jobs {
 				if errs[i] != nil {
-					return nil, nil, fmt.Errorf("bench: %s batch job %d: %w", name, i, errs[i])
+					return nil, fmt.Errorf("bench: %s batch job %d: %w", name, i, errs[i])
 				}
 				if results[i].Output.Source() != seqOut[i] {
-					return nil, nil, fmt.Errorf("bench: %s batch output diverges from sequential", name)
+					return nil, fmt.Errorf("bench: %s batch output diverges from sequential", name)
 				}
 				cacheHits += results[i].CacheStats.Hits
 			}
 		}
 
-		rec := BatchResult{
-			Dataset:      name,
-			Jobs:         len(jobs),
-			Workers:      workers,
-			Reps:         reps,
-			SequentialMS: float64(seqDur.Microseconds()) / 1e3,
-			BatchMS:      float64(batchDur.Microseconds()) / 1e3,
-			Speedup:      float64(seqDur) / float64(batchDur),
-			CurateMS:     float64(curate.Microseconds()) / 1e3,
-			CacheHits:    cacheHits,
-			Identical:    true,
-		}
-		records = append(records, rec)
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Workers),
-			fmt.Sprintf("%.0fms", rec.SequentialMS),
-			fmt.Sprintf("%.0fms", rec.BatchMS),
-			fmt.Sprintf("%.2fx", rec.Speedup),
-			fmt.Sprintf("%.0fms", rec.CurateMS),
-			fmt.Sprintf("%d", rec.CacheHits),
-		})
+		seqMS, batchMS, curateMS := ms(seqDur), ms(batchDur), ms(curate)
+		addRow(name, len(jobs), seqMS, batchMS, curateMS, cacheHits)
+		totalJobs += len(jobs)
+		totalSeq += seqMS
+		totalBatch += batchMS
+		totalCurate += curateMS
+		totalHits += cacheHits
 		opts.logf("%s: %d jobs, sequential %s vs batch %s (%.2fx)",
-			name, rec.Jobs, seqDur.Round(time.Millisecond), batchDur.Round(time.Millisecond), rec.Speedup)
+			name, len(jobs), seqDur.Round(time.Millisecond), batchDur.Round(time.Millisecond), seqMS/batchMS)
 	}
 	// Aggregate row: the whole workload, batch vs sequential.
-	if len(records) > 1 {
-		total := BatchResult{Dataset: "all", Workers: workers, Reps: records[0].Reps, Identical: true}
-		for _, r := range records {
-			total.Jobs += r.Jobs
-			total.SequentialMS += r.SequentialMS
-			total.BatchMS += r.BatchMS
-			total.CurateMS += r.CurateMS
-			total.CacheHits += r.CacheHits
-		}
-		total.Speedup = total.SequentialMS / total.BatchMS
-		records = append(records, total)
-		table.Rows = append(table.Rows, []string{
-			"all",
-			fmt.Sprintf("%d", total.Jobs),
-			fmt.Sprintf("%d", total.Workers),
-			fmt.Sprintf("%.0fms", total.SequentialMS),
-			fmt.Sprintf("%.0fms", total.BatchMS),
-			fmt.Sprintf("%.2fx", total.Speedup),
-			fmt.Sprintf("%.0fms", total.CurateMS),
-			fmt.Sprintf("%d", total.CacheHits),
-		})
+	if len(opts.Datasets) > 1 {
+		addRow("all", totalJobs, totalSeq, totalBatch, totalCurate, totalHits)
 	}
-	return records, table, nil
+	return table, nil
 }

@@ -48,20 +48,6 @@ type Options struct {
 	// BatchWorkers bounds the worker pool of the "batch" experiment
 	// (default GOMAXPROCS).
 	BatchWorkers int
-	// JSONPath, when set, makes experiments with machine-readable output
-	// (currently "batch", "serve", and "regress") also write a JSON record
-	// file there.
-	JSONPath string
-	// BatchBaselinePath / ServeBaselinePath / RouteBaselinePath /
-	// CurateBaselinePath point the "regress" experiment at committed
-	// baseline files; when any is set the fresh replay is gated against it
-	// (see GateConfig).
-	BatchBaselinePath  string
-	ServeBaselinePath  string
-	RouteBaselinePath  string
-	CurateBaselinePath string
-	// Gate tunes the regression thresholds for the "regress" experiment.
-	Gate GateConfig
 	// Progress receives one line per unit of work when non-nil.
 	Progress io.Writer
 	// Tracer, when non-nil, receives structured search events from every
@@ -124,6 +110,10 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// Records are the perf-ledger records behind the rows, for the
+	// experiments whose numbers the regression gate watches; `lsbench
+	// -json` writes the union over every experiment it ran.
+	Records []Record
 }
 
 // Render returns the table as aligned text.

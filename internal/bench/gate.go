@@ -1,88 +1,49 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 )
 
-// ServeResult is the JSON shape of one "serve" experiment record: the HTTP
-// standardization service (submit over the wire, poll to completion) versus
-// direct in-process batch calls on the same jobs. The type lives here (and
-// not in serveexp, which produces it) so the regression gate can compare
-// reports against committed baselines without importing the facade.
-type ServeResult struct {
-	Dataset string `json:"dataset"`
-	Jobs    int    `json:"jobs"`
-	Workers int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best
-	// rep, the standard way to cut scheduler noise out of wall-clock runs.
-	Reps     int     `json:"reps"`
-	DirectMS float64 `json:"direct_ms"`
-	ServedMS float64 `json:"served_ms"`
-	// OverheadPct is (served - direct) / direct in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-	// PerJobOverheadMS is the absolute service tax amortized per job.
-	PerJobOverheadMS float64 `json:"per_job_overhead_ms"`
-	// Identical reports that every served standardized script matched its
-	// direct counterpart byte for byte (the experiment fails otherwise).
+// Record is one entry of the perf ledger: a single measured value of one
+// experiment case. The same flat []Record is what `lsbench -json` writes,
+// what the committed BENCH_ledger.json baseline holds, and what Gate
+// compares, so refreshing the baseline is rerunning the report.
+type Record struct {
+	Experiment string  `json:"experiment"`
+	Case       string  `json:"case"`
+	Metric     string  `json:"metric"`
+	Unit       string  `json:"unit"`
+	Value      float64 `json:"value"`
+	// Floor, when positive, is the lowest Value the gate accepts. Floored
+	// records are machine-independent contracts (speedup ratios), so they
+	// gate without a baseline; every other record is a lower-is-better
+	// wall clock gated against its baseline record.
+	Floor float64 `json:"floor,omitempty"`
+	// Identical reports that the case's outputs matched their reference
+	// byte for byte; the gate fails any record without it.
 	Identical bool `json:"identical"`
 }
 
-// RouteResult is the JSON shape of one "route" experiment record: the same
-// jobs submitted through lsrouter fronting multiple lsserved replicas
-// versus a single directly-addressed replica. The gap is the routing tax —
-// the extra proxy hop, id namespacing, and ring lookup per request.
-type RouteResult struct {
-	Dataset  string `json:"dataset"`
-	Jobs     int    `json:"jobs"`
-	Replicas int    `json:"replicas"`
-	Workers  int    `json:"workers"`
-	// Reps is how many times each arm ran; the times below are the best rep.
-	Reps     int     `json:"reps"`
-	ServedMS float64 `json:"served_ms"`
-	RoutedMS float64 `json:"routed_ms"`
-	// OverheadPct is (routed - served) / served in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-	// PerJobOverheadMS is the absolute routing tax amortized per job.
-	PerJobOverheadMS float64 `json:"per_job_overhead_ms"`
-	// Identical reports that every routed standardized script matched its
-	// single-replica counterpart byte for byte.
-	Identical bool `json:"identical"`
+// MSRecord is a wall-clock record in milliseconds of a case whose outputs
+// matched their reference.
+func MSRecord(experiment, kase, metric string, ms float64) Record {
+	return Record{Experiment: experiment, Case: kase, Metric: metric, Unit: "ms", Value: ms, Identical: true}
 }
 
-// RegressReport is the machine-readable output of the "regress" experiment:
-// a fresh replay of the batch, serve, route, and curate experiments,
-// comparable against the committed BENCH_batch.json / BENCH_serve.json /
-// BENCH_route.json / BENCH_curate.json baselines.
-type RegressReport struct {
-	Batch  []BatchResult  `json:"batch"`
-	Serve  []ServeResult  `json:"serve"`
-	Route  []RouteResult  `json:"route,omitempty"`
-	Curate []CurateResult `json:"curate,omitempty"`
-}
+func (r Record) key() [3]string { return [3]string{r.Experiment, r.Case, r.Metric} }
 
-// GateConfig tunes the regression gate. Wall-clock comparisons across
-// machines are noisy, so the gate has two tiers: findings above the warn
-// ratio are reported but tolerated, findings above the fail ratio (or any
-// non-identical output) flunk the gate.
-type GateConfig struct {
-	// WarnRatio flags current/baseline wall-clock ratios above it (default 1.5).
-	WarnRatio float64
-	// FailRatio flunks ratios above it (default 2.0).
-	FailRatio float64
-}
-
-func (c GateConfig) withDefaults() GateConfig {
-	if c.WarnRatio == 0 {
-		c.WarnRatio = 1.5
-	}
-	if c.FailRatio == 0 {
-		c.FailRatio = 2.0
-	}
-	return c
-}
+// Wall-clock comparisons across machines are noisy, so the gate has two
+// tiers: current/baseline ratios above warnRatio are reported but
+// tolerated, ratios above failRatio flunk the gate.
+const (
+	warnRatio = 1.5
+	failRatio = 3.0
+)
 
 // Gate severity levels, ordered.
 const (
@@ -91,177 +52,72 @@ const (
 	GateFail = "fail"
 )
 
-// GateFinding is one baseline comparison: a wall-clock metric of one dataset
-// in one experiment, current run vs committed baseline.
+// GateFinding is the verdict on one current record. Baseline is the
+// joined baseline value, or the floor for a floored record.
 type GateFinding struct {
-	Experiment string  `json:"experiment"` // "batch" or "serve"
-	Dataset    string  `json:"dataset"`
-	Metric     string  `json:"metric"`
-	BaselineMS float64 `json:"baseline_ms"`
-	CurrentMS  float64 `json:"current_ms"`
-	Ratio      float64 `json:"ratio"`
-	Level      string  `json:"level"`
-	Note       string  `json:"note,omitempty"`
+	Record
+	Baseline float64
+	Ratio    float64
+	Level    string
+	Note     string
 }
 
-func gateLevel(ratio float64, cfg GateConfig) string {
-	switch {
-	case ratio > cfg.FailRatio:
-		return GateFail
-	case ratio > cfg.WarnRatio:
-		return GateWarn
-	default:
-		return GateOK
+// Gate returns one finding per current record. A non-identical record
+// fails; a floored record fails below its floor; any other record is
+// joined to the baseline on (experiment, case, metric) — warning when it
+// has no baseline record — and its current/baseline ratio warns above
+// warnRatio and fails above failRatio.
+func Gate(current, baseline []Record) []GateFinding {
+	base := make(map[[3]string]float64, len(baseline))
+	for _, b := range baseline {
+		base[b.key()] = b.Value
 	}
-}
-
-func compareMS(exp, dataset, metric string, base, cur float64, cfg GateConfig) GateFinding {
-	ratio := 0.0
-	if base > 0 {
-		ratio = cur / base
-	}
-	return GateFinding{
-		Experiment: exp, Dataset: dataset, Metric: metric,
-		BaselineMS: base, CurrentMS: cur, Ratio: ratio,
-		Level: gateLevel(ratio, cfg),
-	}
-}
-
-// Gate compares a fresh regression report against the committed baselines
-// and returns one finding per (dataset, metric) pair. Datasets present in
-// only one side produce a warn-level note instead of a ratio; any
-// non-identical output in the report is an immediate fail, as is a curate
-// record whose warm or apply speedup falls through its contract floor.
-func Gate(report RegressReport, batchBase []BatchResult, serveBase []ServeResult, routeBase []RouteResult, curateBase []CurateResult, cfg GateConfig) []GateFinding {
-	cfg = cfg.withDefaults()
-	var findings []GateFinding
-
-	baseByName := make(map[string]BatchResult, len(batchBase))
-	for _, b := range batchBase {
-		baseByName[b.Dataset] = b
-	}
-	for _, cur := range report.Batch {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "batch", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "batch output diverged from sequential",
-			})
+	findings := make([]GateFinding, 0, len(current))
+	for _, cur := range current {
+		f := GateFinding{Record: cur, Level: GateOK}
+		b, ok := base[cur.key()]
+		switch {
+		case !cur.Identical:
+			f.Level, f.Note = GateFail, "output not byte-identical to its reference"
+		case cur.Floor > 0:
+			f.Baseline, f.Note = cur.Floor, "floor"
+			if cur.Value < cur.Floor {
+				f.Level, f.Note = GateFail, "below floor"
+			}
+		case !ok:
+			f.Level, f.Note = GateWarn, "no baseline record"
+		default:
+			f.Baseline = b
+			if b > 0 {
+				f.Ratio = cur.Value / b
+			}
+			if f.Ratio > failRatio {
+				f.Level = GateFail
+			} else if f.Ratio > warnRatio {
+				f.Level = GateWarn
+			}
 		}
-		base, ok := baseByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "batch", Dataset: cur.Dataset, Metric: "batch_ms",
-				CurrentMS: cur.BatchMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("batch", cur.Dataset, "sequential_ms", base.SequentialMS, cur.SequentialMS, cfg),
-			compareMS("batch", cur.Dataset, "batch_ms", base.BatchMS, cur.BatchMS, cfg))
-	}
-
-	serveByName := make(map[string]ServeResult, len(serveBase))
-	for _, s := range serveBase {
-		serveByName[s.Dataset] = s
-	}
-	for _, cur := range report.Serve {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "serve", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "served output diverged from direct",
-			})
-		}
-		base, ok := serveByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "serve", Dataset: cur.Dataset, Metric: "served_ms",
-				CurrentMS: cur.ServedMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("serve", cur.Dataset, "direct_ms", base.DirectMS, cur.DirectMS, cfg),
-			compareMS("serve", cur.Dataset, "served_ms", base.ServedMS, cur.ServedMS, cfg))
-	}
-
-	routeByName := make(map[string]RouteResult, len(routeBase))
-	for _, r := range routeBase {
-		routeByName[r.Dataset] = r
-	}
-	for _, cur := range report.Route {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "route", Dataset: cur.Dataset, Metric: "identical",
-				Level: GateFail, Note: "routed output diverged from single-replica",
-			})
-		}
-		base, ok := routeByName[cur.Dataset]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "route", Dataset: cur.Dataset, Metric: "routed_ms",
-				CurrentMS: cur.RoutedMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("route", cur.Dataset, "served_ms", base.ServedMS, cur.ServedMS, cfg),
-			compareMS("route", cur.Dataset, "routed_ms", base.RoutedMS, cur.RoutedMS, cfg))
-	}
-
-	curateByName := make(map[string]CurateResult, len(curateBase))
-	for _, c := range curateBase {
-		curateByName[c.Corpus] = c
-	}
-	for _, cur := range report.Curate {
-		if !cur.Identical {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "identical",
-				Level: GateFail, Note: "incremental apply diverged from from-scratch rebuild",
-			})
-		}
-		// The speedup floors are the registry's contract and are
-		// machine-independent ratios, so they gate even without a baseline.
-		if cur.WarmSpeedup < WarmSpeedupFloor {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "warm_speedup",
-				BaselineMS: WarmSpeedupFloor, CurrentMS: cur.WarmSpeedup, Level: GateFail,
-				Note: fmt.Sprintf("warm load only %.1fx faster than cold curation (floor %.0fx)",
-					cur.WarmSpeedup, WarmSpeedupFloor),
-			})
-		}
-		if cur.ApplySpeedup < ApplySpeedupFloor {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "apply_speedup",
-				BaselineMS: ApplySpeedupFloor, CurrentMS: cur.ApplySpeedup, Level: GateFail,
-				Note: fmt.Sprintf("1%%-churn apply only %.1fx faster than rebuild (floor %.0fx)",
-					cur.ApplySpeedup, ApplySpeedupFloor),
-			})
-		}
-		base, ok := curateByName[cur.Corpus]
-		if !ok {
-			findings = append(findings, GateFinding{
-				Experiment: "curate", Dataset: cur.Corpus, Metric: "warm_load_ms",
-				CurrentMS: cur.WarmLoadMS, Level: GateWarn, Note: "no baseline record",
-			})
-			continue
-		}
-		findings = append(findings,
-			compareMS("curate", cur.Corpus, "cold_curate_ms", base.ColdCurateMS, cur.ColdCurateMS, cfg),
-			compareMS("curate", cur.Corpus, "warm_load_ms", base.WarmLoadMS, cur.WarmLoadMS, cfg),
-			compareMS("curate", cur.Corpus, "full_load_ms", base.FullLoadMS, cur.FullLoadMS, cfg),
-			compareMS("curate", cur.Corpus, "apply_ms", base.ApplyMS, cur.ApplyMS, cfg))
+		findings = append(findings, f)
 	}
 	return findings
+}
+
+// FormatValue renders a record value in its unit.
+func FormatValue(v float64, unit string) string {
+	return strconv.FormatFloat(v, 'f', 1, 64) + unit
 }
 
 // GateTable renders the findings as a result table.
 func GateTable(findings []GateFinding) *Table {
 	t := &Table{
-		Title:  "Perf-regression gate (current run vs committed baselines)",
-		Header: []string{"experiment", "dataset", "metric", "baseline", "current", "ratio", "level"},
+		Title:  "Perf-regression gate (current run vs committed ledger)",
+		Header: []string{"experiment", "case", "metric", "baseline", "current", "ratio", "level"},
 	}
 	for _, f := range findings {
-		ratio := "-"
+		baseline, ratio := "-", "-"
+		if f.Baseline > 0 {
+			baseline = FormatValue(f.Baseline, f.Unit)
+		}
 		if f.Ratio > 0 {
 			ratio = fmt.Sprintf("%.2fx", f.Ratio)
 		}
@@ -270,10 +126,7 @@ func GateTable(findings []GateFinding) *Table {
 			level += " (" + f.Note + ")"
 		}
 		t.Rows = append(t.Rows, []string{
-			f.Experiment, f.Dataset, f.Metric,
-			fmt.Sprintf("%.0fms", f.BaselineMS),
-			fmt.Sprintf("%.0fms", f.CurrentMS),
-			ratio, level,
+			f.Experiment, f.Case, f.Metric, baseline, FormatValue(f.Value, f.Unit), ratio, level,
 		})
 	}
 	return t
@@ -299,64 +152,27 @@ func GateSummary(findings []GateFinding) (fails, warns int, line string) {
 	return fails, warns, b.String()
 }
 
-// LoadBatchBaseline reads a committed BENCH_batch.json.
-func LoadBatchBaseline(path string) ([]BatchResult, error) {
-	var out []BatchResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadServeBaseline reads a committed BENCH_serve.json.
-func LoadServeBaseline(path string) ([]ServeResult, error) {
-	var out []ServeResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadRouteBaseline reads a committed BENCH_route.json.
-func LoadRouteBaseline(path string) ([]RouteResult, error) {
-	var out []RouteResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadCurateBaseline reads a committed BENCH_curate.json.
-func LoadCurateBaseline(path string) ([]CurateResult, error) {
-	var out []CurateResult
-	if err := readJSON(path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LoadRegressReport reads a report produced by `lsbench -exp regress -json`.
-func LoadRegressReport(path string) (RegressReport, error) {
-	var out RegressReport
-	err := readJSON(path, &out)
-	return out, err
-}
-
-func readJSON(path string, v interface{}) error {
+// LoadLedger reads a ledger file: an `lsbench -json` report or the
+// committed BENCH_ledger.json. Unknown fields are rejected, so a file in
+// any other shape fails loudly instead of gating as empty records.
+func LoadLedger(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("bench: parsing %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var recs []Record
+	if err := dec.Decode(&recs); err != nil {
+		return nil, fmt.Errorf("bench: parsing ledger %s: %w", path, err)
 	}
-	return nil
+	return recs, nil
 }
 
-// writeJSON writes v indented to path, newline-terminated, matching the
-// committed baseline formatting so refreshes produce minimal diffs.
-func writeJSON(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// WriteLedger writes records to path as indented, newline-terminated JSON,
+// the committed baseline's formatting, so refreshes produce minimal diffs.
+func WriteLedger(path string, recs []Record) error {
+	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func Experiments() []Experiment {
 		{ID: "serve", Paper: "(extra)", Description: "HTTP standardization service vs direct library calls", Run: Serve},
 		{ID: "route", Paper: "(extra)", Description: "lsrouter-fronted cluster vs a single directly-addressed replica", Run: Route},
 		{ID: "curate", Paper: "(extra)", Description: "corpus-registry lifecycle: cold curation vs warm load vs incremental apply", Run: Curate},
-		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route vs committed baselines", Run: Regress},
+		{ID: "regress", Paper: "(extra)", Description: "perf-regression replay of batch+serve+route+curate as one ledger report", Run: Regress},
 	}
 }
 

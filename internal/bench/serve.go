@@ -41,11 +41,10 @@ func Route(opts Options) (*Table, error) {
 // which needs the facade.
 var RegressRunner func(Options) (*Table, error)
 
-// Regress replays the batch and serve experiments, writes a combined
-// machine-readable report (Options.JSONPath), and when baseline paths are
-// set compares the fresh wall-clock numbers against the committed
-// BENCH_batch.json / BENCH_serve.json within the configured tolerance. See
-// serveexp.Regress for the implementation.
+// Regress replays the batch, serve, route, and curate (10k corpus only)
+// experiments and returns their union of ledger records — the report
+// `lsbench -exp regress -json` writes and cmd/benchgate gates against the
+// committed BENCH_ledger.json. See serveexp.Regress for the implementation.
 func Regress(opts Options) (*Table, error) {
 	if RegressRunner == nil {
 		return nil, errors.New("bench: regress experiment not linked in (install bench.RegressRunner, see internal/bench/serveexp)")

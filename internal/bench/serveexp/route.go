@@ -2,10 +2,8 @@ package serveexp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"time"
 
@@ -24,29 +22,9 @@ const routeReplicas = 3
 // run through a serve.Server hit straight on (the "served" arm) and
 // through a router.Router fronting routeReplicas identically-curated
 // replicas (the "routed" arm). The gap is the routing tax — the extra
-// proxy hop, the ring lookup, and the job-id namespacing — and the
-// regression gate watches it via BENCH_route.json.
+// proxy hop, the ring lookup, and the job-id namespacing. Each dataset
+// contributes served_ms and routed_ms ledger records.
 func Route(opts bench.Options) (*bench.Table, error) {
-	records, table, err := routeRecords(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.JSONPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing %s: %w", opts.JSONPath, err)
-		}
-		opts.Logf("route results written to %s", opts.JSONPath)
-	}
-	return table, nil
-}
-
-// routeRecords runs the route experiment and returns the per-dataset
-// records alongside the rendered table, without touching Options.JSONPath.
-func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error) {
 	opts = opts.WithDefaults()
 	workers := opts.BatchWorkers
 	if workers <= 0 {
@@ -56,11 +34,10 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		Title:  fmt.Sprintf("lsrouter-fronted cluster (%d replicas) vs a single directly-addressed replica", routeReplicas),
 		Header: []string{"dataset", "jobs", "replicas", "served", "routed", "overhead", "per-job"},
 	}
-	var records []bench.RouteResult
 	for _, name := range opts.Datasets {
 		gen, err := opts.GenerateDataset(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		jobs := gen.Sample(opts.ScriptsPerDataset, opts.Seed+17)
 		lsOpts := lucidscript.Options{
@@ -88,7 +65,7 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		// The served arm: one replica, addressed directly.
 		directSrv, directHS, err := newServer()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		directClient := serve.NewClient(directHS.URL, directHS.Client())
 
@@ -101,7 +78,7 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		for i := 0; i < routeReplicas; i++ {
 			srv, hs, err := newServer()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			replicaSrvs = append(replicaSrvs, srv)
 			replicaHSs = append(replicaHSs, hs)
@@ -112,7 +89,7 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		cfg.Rise, cfg.Fall = 1, 1
 		rt, err := router.New(cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: %s: %w", name, err)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		ctx := context.Background()
 		rt.ProbeAll(ctx)
@@ -152,14 +129,14 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		for r := 0; r < reps; r++ {
 			d, err := runArm(directClient, servedOut)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if r == 0 || d < servedDur {
 				servedDur = d
 			}
 			d, err = runArm(routedClient, routedOut)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if r == 0 || d < routedDur {
 				routedDur = d
@@ -176,42 +153,34 @@ func routeRecords(opts bench.Options) ([]bench.RouteResult, *bench.Table, error)
 		routerHS.Close()
 		directHS.Close()
 		if err := directSrv.Shutdown(ctx); err != nil {
-			return nil, nil, fmt.Errorf("bench: %s shutdown: %w", name, err)
+			return nil, fmt.Errorf("bench: %s shutdown: %w", name, err)
 		}
 		for i, hs := range replicaHSs {
 			hs.Close()
 			if err := replicaSrvs[i].Shutdown(ctx); err != nil {
-				return nil, nil, fmt.Errorf("bench: %s replica shutdown: %w", name, err)
+				return nil, fmt.Errorf("bench: %s replica shutdown: %w", name, err)
 			}
 		}
 		if !identical {
-			return nil, nil, fmt.Errorf("bench: %s routed output diverges from single-replica", name)
+			return nil, fmt.Errorf("bench: %s routed output diverges from single-replica", name)
 		}
 
-		rec := bench.RouteResult{
-			Dataset:          name,
-			Jobs:             len(jobs),
-			Replicas:         routeReplicas,
-			Workers:          workers,
-			Reps:             reps,
-			ServedMS:         float64(servedDur.Microseconds()) / 1e3,
-			RoutedMS:         float64(routedDur.Microseconds()) / 1e3,
-			OverheadPct:      100 * (float64(routedDur) - float64(servedDur)) / float64(servedDur),
-			PerJobOverheadMS: float64((routedDur - servedDur).Microseconds()) / 1e3 / float64(len(jobs)),
-			Identical:        identical,
-		}
-		records = append(records, rec)
+		servedMS, routedMS := float64(servedDur.Microseconds())/1e3, float64(routedDur.Microseconds())/1e3
+		overheadPct := 100 * (routedMS - servedMS) / servedMS
 		table.Rows = append(table.Rows, []string{
 			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Replicas),
-			fmt.Sprintf("%.0fms", rec.ServedMS),
-			fmt.Sprintf("%.0fms", rec.RoutedMS),
-			fmt.Sprintf("%.1f%%", rec.OverheadPct),
-			fmt.Sprintf("%.2fms", rec.PerJobOverheadMS),
+			fmt.Sprintf("%d", len(jobs)),
+			fmt.Sprintf("%d", routeReplicas),
+			fmt.Sprintf("%.0fms", servedMS),
+			fmt.Sprintf("%.0fms", routedMS),
+			fmt.Sprintf("%.1f%%", overheadPct),
+			fmt.Sprintf("%.2fms", (routedMS-servedMS)/float64(len(jobs))),
 		})
+		table.Records = append(table.Records,
+			bench.MSRecord("route", name, "served_ms", servedMS),
+			bench.MSRecord("route", name, "routed_ms", routedMS))
 		opts.Logf("%s: %d jobs, served %s vs routed %s (+%.1f%%)",
-			name, rec.Jobs, servedDur.Round(time.Millisecond), routedDur.Round(time.Millisecond), rec.OverheadPct)
+			name, len(jobs), servedDur.Round(time.Millisecond), routedDur.Round(time.Millisecond), overheadPct)
 	}
-	return records, table, nil
+	return table, nil
 }

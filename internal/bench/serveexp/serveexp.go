@@ -1,14 +1,16 @@
-// Package serveexp implements the "serve" benchmark experiment: the HTTP
-// standardization service versus direct in-process batch calls on the same
-// jobs. It lives outside internal/bench because it needs the facade package
+// Package serveexp implements the benchmark experiments that drive the
+// service: "serve" (the HTTP standardization service versus direct
+// in-process batch calls on the same jobs), "route" (lsrouter in front of
+// the service), and "regress" (the perf-ledger replay, which includes
+// both). It lives outside internal/bench because it needs the facade package
 // (lucidscript) and internal/serve, and bench itself is imported by the
 // root package's tests — importing the facade from bench would be an import
-// cycle. cmd/lsbench wires it in via bench.ServeRunner.
+// cycle. cmd/lsbench wires them in via bench.ServeRunner, RouteRunner, and
+// RegressRunner.
 package serveexp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -20,43 +22,14 @@ import (
 	"lucidscript/internal/serve"
 )
 
-// Result is the JSON shape written next to the experiment's table: one
-// record per dataset comparing the HTTP standardization service (submit
-// over the wire, poll to completion) against direct in-process batch calls
-// on the same jobs. The gap between the two is the full service tax — JSON
-// marshalling, HTTP round trips, queue admission, and status polling. The
-// struct itself lives in bench (as ServeResult) so the regression gate can
-// compare reports without importing this package.
-type Result = bench.ServeResult
-
 // Run measures what serving standardization over HTTP costs relative to
 // calling the library directly. Each arm gets its own identically-built
 // System with a long-lived job queue — curation paid outside the timed
 // region and the execution-prefix cache persistent across reps, mirroring a
 // long-lived deployment on both sides — so the comparison isolates the
 // transport, marshalling, and polling overhead, not the search or cache
-// warmth.
+// warmth. Each dataset contributes direct_ms and served_ms ledger records.
 func Run(opts bench.Options) (*bench.Table, error) {
-	records, table, err := serveRecords(opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.JSONPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing %s: %w", opts.JSONPath, err)
-		}
-		opts.Logf("serve results written to %s", opts.JSONPath)
-	}
-	return table, nil
-}
-
-// serveRecords runs the serve experiment and returns the per-dataset
-// records alongside the rendered table, without touching Options.JSONPath.
-func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 	opts = opts.WithDefaults()
 	workers := opts.BatchWorkers
 	if workers <= 0 {
@@ -66,11 +39,10 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 		Title:  "HTTP service vs direct library calls (same jobs, one long-lived curated System per arm)",
 		Header: []string{"dataset", "jobs", "workers", "direct", "served", "overhead", "per-job"},
 	}
-	var records []Result
 	for _, name := range opts.Datasets {
 		gen, err := opts.GenerateDataset(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		jobs := gen.Sample(opts.ScriptsPerDataset, opts.Seed+17)
 		lsOpts := lucidscript.Options{
@@ -84,11 +56,11 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 		}
 		sysDirect, err := lucidscript.NewSystem(gen.ScriptsOnly(), gen.Sources, lsOpts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: %s: %w", name, err)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		sysServed, err := lucidscript.NewSystem(gen.ScriptsOnly(), gen.Sources, lsOpts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: %s: %w", name, err)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		directQueue := sysDirect.NewJobQueue(workers, len(jobs))
 		// The served arm runs durable — every job rides through the
@@ -97,13 +69,13 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 		// the regression gate would catch a WAL slowdown.
 		dataDir, err := os.MkdirTemp("", "lsbench-serve-*")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		srv, err := serve.NewServer(map[string]*lucidscript.System{name: sysServed},
 			serve.Config{Workers: workers, QueueDepth: len(jobs), DataDir: dataDir})
 		if err != nil {
 			os.RemoveAll(dataDir)
-			return nil, nil, fmt.Errorf("bench: %s: %w", name, err)
+			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		hs := httptest.NewServer(srv.Handler())
 		client := serve.NewClient(hs.URL, hs.Client())
@@ -122,14 +94,14 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 			for i, su := range jobs {
 				h, err := directQueue.Submit(ctx, su)
 				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s direct submit %d: %w", name, i, err)
+					return nil, fmt.Errorf("bench: %s direct submit %d: %w", name, i, err)
 				}
 				handles[i] = h
 			}
 			for i, h := range handles {
 				res, err := h.Wait(ctx)
 				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s direct job %d: %w", name, i, err)
+					return nil, fmt.Errorf("bench: %s direct job %d: %w", name, i, err)
 				}
 				directOut[i] = res.Script.Source()
 			}
@@ -143,20 +115,20 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 			for i, su := range jobs {
 				st, err := client.Submit(ctx, name, su.Source(), nil)
 				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s served submit %d: %w", name, i, err)
+					return nil, fmt.Errorf("bench: %s served submit %d: %w", name, i, err)
 				}
 				ids[i] = st.ID
 			}
 			for i, id := range ids {
 				st, err := client.Wait(ctx, id, 2*time.Millisecond)
 				if err != nil {
-					return nil, nil, fmt.Errorf("bench: %s served wait %d: %w", name, i, err)
+					return nil, fmt.Errorf("bench: %s served wait %d: %w", name, i, err)
 				}
 				if st.State != serve.StateDone {
-					return nil, nil, fmt.Errorf("bench: %s served job %d: state %s (%s)", name, i, st.State, st.Error)
+					return nil, fmt.Errorf("bench: %s served job %d: state %s (%s)", name, i, st.State, st.Error)
 				}
 				if st.Result.Script != directOut[i] {
-					return nil, nil, fmt.Errorf("bench: %s served output diverges from direct for job %d", name, i)
+					return nil, fmt.Errorf("bench: %s served output diverges from direct for job %d", name, i)
 				}
 			}
 			if d := time.Since(servedStart); r == 0 || d < servedDur {
@@ -168,32 +140,25 @@ func serveRecords(opts bench.Options) ([]Result, *bench.Table, error) {
 		err = srv.Shutdown(ctx)
 		os.RemoveAll(dataDir)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: %s shutdown: %w", name, err)
+			return nil, fmt.Errorf("bench: %s shutdown: %w", name, err)
 		}
 
-		rec := Result{
-			Dataset:          name,
-			Jobs:             len(jobs),
-			Workers:          workers,
-			Reps:             reps,
-			DirectMS:         float64(directDur.Microseconds()) / 1e3,
-			ServedMS:         float64(servedDur.Microseconds()) / 1e3,
-			OverheadPct:      100 * (float64(servedDur) - float64(directDur)) / float64(directDur),
-			PerJobOverheadMS: float64((servedDur - directDur).Microseconds()) / 1e3 / float64(len(jobs)),
-			Identical:        true,
-		}
-		records = append(records, rec)
+		directMS, servedMS := float64(directDur.Microseconds())/1e3, float64(servedDur.Microseconds())/1e3
+		overheadPct := 100 * (servedMS - directMS) / directMS
 		table.Rows = append(table.Rows, []string{
 			name,
-			fmt.Sprintf("%d", rec.Jobs),
-			fmt.Sprintf("%d", rec.Workers),
-			fmt.Sprintf("%.0fms", rec.DirectMS),
-			fmt.Sprintf("%.0fms", rec.ServedMS),
-			fmt.Sprintf("%.1f%%", rec.OverheadPct),
-			fmt.Sprintf("%.2fms", rec.PerJobOverheadMS),
+			fmt.Sprintf("%d", len(jobs)),
+			fmt.Sprintf("%d", workers),
+			fmt.Sprintf("%.0fms", directMS),
+			fmt.Sprintf("%.0fms", servedMS),
+			fmt.Sprintf("%.1f%%", overheadPct),
+			fmt.Sprintf("%.2fms", (servedMS-directMS)/float64(len(jobs))),
 		})
+		table.Records = append(table.Records,
+			bench.MSRecord("serve", name, "direct_ms", directMS),
+			bench.MSRecord("serve", name, "served_ms", servedMS))
 		opts.Logf("%s: %d jobs, direct %s vs served %s (+%.1f%%)",
-			name, rec.Jobs, directDur.Round(time.Millisecond), servedDur.Round(time.Millisecond), rec.OverheadPct)
+			name, len(jobs), directDur.Round(time.Millisecond), servedDur.Round(time.Millisecond), overheadPct)
 	}
-	return records, table, nil
+	return table, nil
 }
