@@ -64,8 +64,17 @@ type QueuedJob struct {
 // queued job.
 func (j *QueuedJob) ID() int64 { return j.id }
 
-// State reports where the job is in its lifecycle.
-func (j *QueuedJob) State() JobState { return JobState(j.state.Load()) }
+// State reports where the job is in its lifecycle. A job whose Done
+// channel is closed reports JobDone, so State agrees with a Wait that has
+// returned even before finish stores the state.
+func (j *QueuedJob) State() JobState {
+	select {
+	case <-j.done:
+		return JobDone
+	default:
+		return JobState(j.state.Load())
+	}
+}
 
 // Done is closed when the job finishes — successfully, with an error, or
 // by cancellation.

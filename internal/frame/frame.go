@@ -202,24 +202,6 @@ func (f *Frame) RenameColumn(old, new string) (*Frame, error) {
 	return out, nil
 }
 
-// Filter returns the rows where the mask is true.
-func (f *Frame) Filter(m Mask) (*Frame, error) {
-	if len(m) != f.NumRows() {
-		return nil, fmt.Errorf("frame: mask length %d != rows %d", len(m), f.NumRows())
-	}
-	p := getIdx(len(m))
-	idx := *p
-	for i, keep := range m {
-		if keep {
-			idx = append(idx, i)
-		}
-	}
-	out := f.gather(idx)
-	*p = idx
-	putIdx(p)
-	return out, nil
-}
-
 // Take returns a new frame holding the rows at the given positions, in order.
 func (f *Frame) Take(idx []int) (*Frame, error) {
 	rows := f.NumRows()
@@ -244,15 +226,11 @@ func (f *Frame) Head(n int) *Frame {
 	if n > f.NumRows() {
 		n = f.NumRows()
 	}
-	p := getIdx(n)
-	idx := (*p)[:n]
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	out := f.gather(idx)
-	*p = idx
-	putIdx(p)
-	return out
+	return f.gather(idx)
 }
 
 // Sample returns n rows drawn without replacement using the given seed.
@@ -269,27 +247,21 @@ func (f *Frame) Sample(n int, seed int64) *Frame {
 	return f.gather(idx)
 }
 
-// DropNA returns a copy keeping only rows with no nulls in any column.
-func (f *Frame) DropNA() *Frame {
+// CompleteRows returns, in order, the positions of the rows with no null
+// in any column: the rows pandas df.dropna() keeps.
+func (f *Frame) CompleteRows() []int {
 	rows := f.NumRows()
-	p := getIdx(rows)
-	idx := *p
+	pos := make([]int, 0, rows)
+next:
 	for i := 0; i < rows; i++ {
-		ok := true
 		for _, c := range f.cols {
 			if !c.valid[i] {
-				ok = false
-				break
+				continue next
 			}
 		}
-		if ok {
-			idx = append(idx, i)
-		}
+		pos = append(pos, i)
 	}
-	out := f.gather(idx)
-	*p = idx
-	putIdx(p)
-	return out
+	return pos
 }
 
 // FillStat selects the per-column imputation statistic for FillNA.
@@ -370,39 +342,6 @@ func (f *Frame) GetDummies() *Frame {
 		}
 	}
 	return out
-}
-
-// SortBy returns a copy sorted by the named column (stable).
-func (f *Frame) SortBy(name string, ascending bool) (*Frame, error) {
-	c, err := f.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	less := func(a, b int) bool {
-		if c.IsNumeric() || c.Kind() == Bool {
-			return c.Float(a) < c.Float(b)
-		}
-		return c.StringAt(a) < c.StringAt(b)
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		av, bv := c.IsValid(a), c.IsValid(b)
-		if av != bv {
-			return av // nulls sort last regardless of direction
-		}
-		if !av {
-			return false
-		}
-		if ascending {
-			return less(a, b)
-		}
-		return less(b, a)
-	})
-	return f.gather(idx), nil
 }
 
 // GroupAgg identifies the aggregate applied by GroupBy.

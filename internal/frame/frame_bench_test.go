@@ -54,7 +54,7 @@ func BenchmarkFilterMask(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := f.Filter(m); err != nil {
+		if _, err := f.Take(m.Positions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,11 +70,13 @@ func BenchmarkGetDummies(b *testing.B) {
 }
 
 func BenchmarkSortBy(b *testing.B) {
+	// df.sort_values("price"): the sort kernel, then the row gather.
 	f := benchFrame(b, 10000)
+	col, _ := f.Column("price")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.SortBy("price", true); err != nil {
+		if _, err := f.Take(col.SortPositions(true)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +157,8 @@ func BenchmarkGather(b *testing.B) {
 
 func BenchmarkFilterChain(b *testing.B) {
 	// The chained-combinator shape interp produces for
-	// df[(a > x) & (b < y) | ~(c > z)], exercising the in-place mask ops.
+	// df[(a > x) & (b < y) | ~(c > z)], exercising the in-place mask ops,
+	// then the row selection it runs: mask positions, then Take.
 	f := benchFrame(b, 10000)
 	price, _ := f.Column("price")
 	num, _ := f.Column("num")
@@ -166,7 +169,7 @@ func BenchmarkFilterChain(b *testing.B) {
 		m2, _ := num.Compare(Lt, 5.0)
 		m3, _ := price.Compare(Gt, 90.0)
 		m := m1.AndInPlace(m2).OrInPlace(m3.NotInPlace())
-		if _, err := f.Filter(m); err != nil {
+		if _, err := f.Take(m.Positions()); err != nil {
 			b.Fatal(err)
 		}
 	}

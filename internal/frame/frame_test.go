@@ -142,15 +142,18 @@ func TestFilter(t *testing.T) {
 	f := sampleFrame(t)
 	age, _ := f.Column("Age")
 	m, _ := age.Compare(Gt, 30.0)
-	g, err := f.Filter(m)
+	if got := m.Positions(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("Positions = %v, want [1 3]", got)
+	}
+	g, err := f.Take(m.Positions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumRows() != 2 {
-		t.Fatalf("filtered rows = %d, want 2", g.NumRows())
+	if g.NumRows() != 2 || g.RowString(1) != f.RowString(3) {
+		t.Fatalf("filtered rows = %d, want rows 1 and 3", g.NumRows())
 	}
-	if _, err := f.Filter(Mask{true}); err == nil {
-		t.Fatal("mask length mismatch should error")
+	if _, err := f.Take([]int{f.NumRows()}); err == nil {
+		t.Fatal("out-of-range take position should error")
 	}
 }
 
@@ -176,9 +179,16 @@ func TestHeadAndSample(t *testing.T) {
 
 func TestDropNA(t *testing.T) {
 	f := sampleFrame(t)
-	g := f.DropNA()
-	if g.NumRows() != 2 {
-		t.Fatalf("DropNA rows = %d, want 2", g.NumRows())
+	pos := f.CompleteRows()
+	if len(pos) != 2 || pos[0] != 0 || pos[1] != 1 {
+		t.Fatalf("CompleteRows = %v, want [0 1]", pos)
+	}
+	g, err := f.Take(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumRows() != 2 || g.RowString(1) != f.RowString(1) {
+		t.Fatalf("dropna rows = %d, want rows 0 and 1", g.NumRows())
 	}
 }
 
@@ -240,7 +250,8 @@ func TestGetDummies(t *testing.T) {
 
 func TestSortBy(t *testing.T) {
 	f := sampleFrame(t)
-	asc, err := f.SortBy("Age", true)
+	col, _ := f.Column("Age")
+	asc, err := f.Take(col.SortPositions(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +262,13 @@ func TestSortBy(t *testing.T) {
 	if age.IsValid(3) {
 		t.Fatal("nulls should sort last")
 	}
-	desc, _ := f.SortBy("Age", false)
+	desc, _ := f.Take(col.SortPositions(false))
 	aged, _ := desc.Column("Age")
 	if !almostEq(aged.Float(0), 38) {
 		t.Fatalf("desc first = %v", aged.Float(0))
 	}
-	if _, err := f.SortBy("Nope", true); err == nil {
-		t.Fatal("sorting missing column should error")
+	if aged.IsValid(3) {
+		t.Fatal("nulls should sort last when descending too")
 	}
 }
 

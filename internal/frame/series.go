@@ -1,15 +1,17 @@
 // Package frame implements a small columnar dataframe engine with
 // null-aware typed series and the data-preparation operators that
 // LucidScript scripts use: CSV I/O, imputation, filtering, one-hot
-// encoding, string normalization, scaling, sampling and more.
+// encoding, string normalization, sorting, sampling and more.
 //
 // The engine is the execution substrate for the interpreter in
 // internal/interp; the paper's prototype used pandas for the same role.
 package frame
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -433,15 +435,43 @@ func (s *Series) Unique() []string {
 	return out
 }
 
-// ValueCounts returns value → occurrence count over non-null rows.
-func (s *Series) ValueCounts() map[string]int {
-	counts := map[string]int{}
-	for i := 0; i < s.Len(); i++ {
-		if s.valid[i] {
-			counts[s.StringAt(i)]++
-		}
+// SortPositions returns the row positions that order the series, as
+// pandas sort_values does: numeric and bool values compare as floats,
+// strings bytewise, nulls go last in either direction, and ties keep their
+// row order. Breaking ties by position makes the order total, so the
+// result is the one a stable sort would give. A valid cell is never NaN
+// (NaN is stored as null), so the float comparison is a strict weak order.
+func (s *Series) SortPositions(ascending bool) []int {
+	pos := make([]int, s.Len())
+	for i := range pos {
+		pos[i] = i
 	}
-	return counts
+	numeric := s.IsNumeric() || s.kind == Bool
+	slices.SortFunc(pos, func(a, b int) int {
+		if s.valid[a] != s.valid[b] {
+			if s.valid[a] {
+				return -1
+			}
+			return 1
+		}
+		if s.valid[a] {
+			x, y := a, b
+			if !ascending {
+				x, y = b, a
+			}
+			c := 0
+			if numeric {
+				c = cmp.Compare(s.Float(x), s.Float(y))
+			} else {
+				c = strings.Compare(s.StringAt(x), s.StringAt(y))
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a, b)
+	})
+	return pos
 }
 
 // FillNAFloat returns a series with nulls replaced by v (numeric series

@@ -78,6 +78,18 @@ func (m Mask) Count() int {
 	return n
 }
 
+// Positions returns, in order, the positions where the mask is true: the
+// rows a boolean filter keeps.
+func (m Mask) Positions() []int {
+	pos := make([]int, 0, m.Count())
+	for i, keep := range m {
+		if keep {
+			pos = append(pos, i)
+		}
+	}
+	return pos
+}
+
 // CmpOp identifies a scalar comparison operator.
 type CmpOp int
 
@@ -401,45 +413,6 @@ func (s *Series) Clip(lo, hi float64) *Series {
 			v = hi
 		}
 		vals[i] = v
-	}
-	return NewFloatSeries(s.name, vals)
-}
-
-// MinMaxScale returns (x - min) / (max - min); constant series become 0.
-func (s *Series) MinMaxScale() *Series {
-	lo, hi := s.Min(), s.Max()
-	span := hi - lo
-	vals := make([]float64, s.Len())
-	for i := range vals {
-		v := s.Float(i)
-		if math.IsNaN(v) {
-			vals[i] = math.NaN()
-			continue
-		}
-		if span == 0 {
-			vals[i] = 0
-			continue
-		}
-		vals[i] = (v - lo) / span
-	}
-	return NewFloatSeries(s.name, vals)
-}
-
-// StandardScale returns (x - mean) / std; zero-variance series become 0.
-func (s *Series) StandardScale() *Series {
-	m, sd := s.Mean(), s.Std()
-	vals := make([]float64, s.Len())
-	for i := range vals {
-		v := s.Float(i)
-		if math.IsNaN(v) {
-			vals[i] = math.NaN()
-			continue
-		}
-		if sd == 0 {
-			vals[i] = 0
-			continue
-		}
-		vals[i] = (v - m) / sd
 	}
 	return NewFloatSeries(s.name, vals)
 }

@@ -13,6 +13,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"lucidscript/internal/frame"
@@ -133,11 +134,7 @@ func (g *Generator) pick(k, n int) []int {
 		n = k
 	}
 	picked := append([]int(nil), perm[:n]...)
-	for i := range picked { // insertion sort: n is tiny
-		for j := i; j > 0 && picked[j] < picked[j-1]; j-- {
-			picked[j], picked[j-1] = picked[j-1], picked[j]
-		}
-	}
+	sort.Ints(picked)
 	return picked
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"lucidscript/internal/frame"
 	"lucidscript/internal/script"
@@ -267,41 +268,26 @@ func binEqualWidth(s *frame.Series, bins int) *frame.Series {
 }
 
 func binEqualFreq(s *frame.Series, bins int) *frame.Series {
-	// Rank-based quantile binning.
-	var ps []rankPair
-	for i := 0; i < s.Len(); i++ {
-		if s.IsValid(i) {
-			v := s.Float(i)
-			if !math.IsNaN(v) {
-				ps = append(ps, rankPair{i, v})
-			}
-		}
+	// Rank-based quantile binning. Ties keep their row order, which fixes
+	// which bin a run of equal values straddling a boundary lands in.
+	vals := s
+	if s.Kind() == frame.String {
+		vals = s.AsType(frame.Float) // unparsable strings become null
 	}
+	ranked := vals.SortPositions(true)[:vals.Len()-vals.NullCount()]
 	out := frame.NewEmptySeries(s.Name(), frame.String, s.Len())
-	if len(ps) == 0 {
+	if len(ranked) == 0 {
 		return out
 	}
-	sortPairs(ps)
-	per := (len(ps) + bins - 1) / bins
-	for rank, p := range ps {
+	per := (len(ranked) + bins - 1) / bins
+	for rank, p := range ranked {
 		b := rank / per
 		if b >= bins {
 			b = bins - 1
 		}
-		out.SetString(p.pos, fmt.Sprintf("q%d", b))
+		out.SetString(p, fmt.Sprintf("q%d", b))
 	}
 	return out
-}
-
-type rankPair struct {
-	pos int
-	v   float64
-}
-
-// sortPairs orders ps by value; ties keep their row order, which fixes
-// which bin a run of equal values straddling a boundary lands in.
-func sortPairs(ps []rankPair) {
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
 }
 
 func (e *Env) callNumpy(name string, c *call) (Value, error) {
@@ -451,17 +437,7 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 	case "fillna":
 		return e.dfFillna(df, c)
 	case "dropna":
-		m := make(frame.Mask, df.F.NumRows())
-		for i := range m {
-			m[i] = true
-			for j := 0; j < df.F.NumCols(); j++ {
-				if !df.F.ColumnAt(j).IsValid(i) {
-					m[i] = false
-					break
-				}
-			}
-		}
-		return df.filter(m)
+		return df.take(df.F.CompleteRows())
 	case "drop":
 		return e.dfDrop(df, c)
 	case "sample":
@@ -495,7 +471,7 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 		}
 		perm := e.rng.Perm(rows)
 		pos := append([]int(nil), perm[:k]...)
-		sortInts(pos)
+		sort.Ints(pos)
 		return df.take(pos)
 	case "head":
 		n := 5.0
@@ -513,11 +489,8 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 			// here clamp to empty rather than panic on a negative make().
 			k = 0
 		}
-		pos := make([]int, k)
-		for i := range pos {
-			pos[i] = i
-		}
-		return df.take(pos)
+		// Index slices are never written in place, so head shares its prefix.
+		return &DF{F: df.F.Head(k), Index: df.Index[:k]}, nil
 	case "sort_values":
 		col, err := c.stringArg(0)
 		if err != nil {
@@ -541,8 +514,7 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		pos := sortPositions(colS, asc)
-		return df.take(pos)
+		return df.take(colS.SortPositions(asc))
 	case "groupby":
 		key, err := c.stringArg(0)
 		if err != nil {
@@ -593,76 +565,24 @@ func (e *Env) callDF(df *DF, name string, c *call) (Value, error) {
 	case "mode":
 		return statVal{stat: frame.FillMode}, nil
 	case "duplicated":
-		seen := map[string]bool{}
-		m := make(frame.Mask, df.F.NumRows())
-		for i, key := range df.F.RowStrings() {
-			if seen[key] {
-				m[i] = true
-			}
-			seen[key] = true
-		}
-		return m, nil
+		return duplicatedRows(df.F), nil
 	case "drop_duplicates":
-		seen := map[string]bool{}
-		var pos []int
-		for i, key := range df.F.RowStrings() {
-			if !seen[key] {
-				pos = append(pos, i)
-			}
-			seen[key] = true
-		}
-		return df.take(pos)
+		return df.filter(duplicatedRows(df.F).NotInPlace())
 	default:
 		return nil, fmt.Errorf("DataFrame has no method %q", name)
 	}
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+// duplicatedRows marks each row whose cells all equal those of an earlier
+// row (pandas df.duplicated() with keep="first").
+func duplicatedRows(f *frame.Frame) frame.Mask {
+	seen := map[string]bool{}
+	m := make(frame.Mask, f.NumRows())
+	for i, key := range f.RowStrings() {
+		m[i] = seen[key]
+		seen[key] = true
 	}
-}
-
-func sortPositions(s *frame.Series, asc bool) []int {
-	pos := make([]int, s.Len())
-	for i := range pos {
-		pos[i] = i
-	}
-	numeric := s.IsNumeric() || s.Kind() == frame.Bool
-	less := func(a, b int) bool {
-		av, bv := s.IsValid(a), s.IsValid(b)
-		if av != bv {
-			return av
-		}
-		if !av {
-			return false
-		}
-		var l bool
-		if numeric {
-			l = s.Float(a) < s.Float(b)
-		} else {
-			l = s.StringAt(a) < s.StringAt(b)
-		}
-		if asc {
-			return l
-		}
-		var g bool
-		if numeric {
-			g = s.Float(a) > s.Float(b)
-		} else {
-			g = s.StringAt(a) > s.StringAt(b)
-		}
-		return g
-	}
-	// Stable insertion sort (corpus frames are small at check time).
-	for i := 1; i < len(pos); i++ {
-		for j := i; j > 0 && less(pos[j], pos[j-1]); j-- {
-			pos[j], pos[j-1] = pos[j-1], pos[j]
-		}
-	}
-	return pos
+	return m
 }
 
 func (e *Env) dfFillna(df *DF, c *call) (Value, error) {
@@ -926,7 +846,7 @@ func (e *Env) callStr(sv strVal, name string, c *call) (Value, error) {
 		}
 		m := make(frame.Mask, sv.s.Len())
 		for i := 0; i < sv.s.Len(); i++ {
-			if sv.s.IsValid(i) && containsStr(sv.s.StringAt(i), sub) {
+			if sv.s.IsValid(i) && strings.Contains(sv.s.StringAt(i), sub) {
 				m[i] = true
 			}
 		}
@@ -944,15 +864,6 @@ func (e *Env) callStr(sv strVal, name string, c *call) (Value, error) {
 	default:
 		return nil, fmt.Errorf(".str has no method %q", name)
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func (e *Env) callGroupCol(g groupColVal, name string, c *call) (Value, error) {

@@ -122,6 +122,11 @@ df = df[df["Sex"] == "male"]
 	if res2.Main.NumRows() != 2 {
 		t.Fatalf("rows = %d, want 2", res2.Main.NumRows())
 	}
+	mustFail(t, `import pandas as pd
+df = pd.read_csv("train.csv")
+top = df.head(3)
+df = df[top["Fare"] < 10]
+`, titanicSources(t), "mask length 3 does not match 8 rows")
 }
 
 func TestCompoundMasks(t *testing.T) {

@@ -54,13 +54,7 @@ func (d *DF) filter(m frame.Mask) (*DF, error) {
 	if len(m) != d.F.NumRows() {
 		return nil, fmt.Errorf("interp: mask length %d does not match %d rows", len(m), d.F.NumRows())
 	}
-	pos := make([]int, 0, m.Count())
-	for i, keep := range m {
-		if keep {
-			pos = append(pos, i)
-		}
-	}
-	return d.take(pos)
+	return d.take(m.Positions())
 }
 
 // moduleVal represents an imported module (pandas / numpy).
