@@ -51,12 +51,11 @@ func (st *Standardizer) DetectAnomalies(su *script.Script, maxFrequency float64)
 		if freq >= maxFrequency {
 			continue
 		}
-		without := append(append([]dag.LineInfo(nil), g.Lines[:i]...), g.Lines[i+1:]...)
 		out = append(out, Anomaly{
 			Line:            i + 1,
 			Source:          li.Key,
 			CorpusFrequency: freq,
-			REGain:          base - st.Corpus.Vocab.RELines(without),
+			REGain:          base - st.Corpus.Vocab.RELines(without(g.Lines, i)),
 		})
 	}
 	sort.SliceStable(out, func(a, b int) bool {

@@ -237,7 +237,8 @@ df = pd.get_dummies(df)
 			if err != nil {
 				t.Fatalf("original script failed: %v", err)
 			}
-			orig := &candidate{lines: gOrig.Lines, re: st.Corpus.Vocab.RELines(gOrig.Lines), checked: true}
+			orig := newCandidate(gOrig.Lines, st.Corpus.Vocab)
+			orig.checked = true
 			cand := &candidate{lines: gCand.Lines, re: orig.re - 1} // sorts ahead of orig
 
 			res := &Result{}

@@ -60,12 +60,7 @@ func (st *Standardizer) ExplainResult(res *Result) []Explanation {
 	prevRE := st.Corpus.Vocab.RELines(lines)
 	out := make([]Explanation, 0, len(res.Applied))
 	for _, tr := range res.Applied {
-		switch tr.Type {
-		case TransformAdd:
-			lines = append(append(append(lines[:0:0], lines[:tr.Pos]...), tr.Atom), lines[tr.Pos:]...)
-		case TransformDelete:
-			lines = append(append(lines[:0:0], lines[:tr.Pos]...), lines[tr.Pos+1:]...)
-		}
+		lines = transformed(lines, tr)
 		re := st.Corpus.Vocab.RELines(lines)
 		out = append(out, Explanation{
 			Transformation:  tr,

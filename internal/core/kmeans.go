@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
@@ -20,19 +19,13 @@ func clusterSteps(c *candidate, steps []Transformation, m int, v *entropy.Vocab)
 		}
 		return out
 	}
-	// Feature space: the corpus edge vocabulary, densely indexed.
-	dim := map[string]int{}
-	keys := make([]string, 0, len(v.EdgeCounts))
-	for k := range v.EdgeCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		dim[k] = i
-	}
+	// Feature space: the corpus edge vocabulary, indexed by edge rank.
+	d := v.NumUniqueEdges()
+	flat := make([]float64, len(steps)*d)
 	vecs := make([][]float64, len(steps))
 	for i, tr := range steps {
-		vecs[i] = edgeVector(c, tr, dim)
+		vecs[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		edgeVector(vecs[i], c, tr, v)
 	}
 	assign := kmeans(vecs, m, 12)
 	out := make([][]Transformation, m)
@@ -49,20 +42,12 @@ func clusterSteps(c *candidate, steps []Transformation, m int, v *entropy.Vocab)
 	return res
 }
 
-// edgeVector embeds the post-transformation script as a normalized edge
-// count vector over the corpus edge vocabulary.
-func edgeVector(c *candidate, tr Transformation, dim map[string]int) []float64 {
-	lines := c.lines
-	switch tr.Type {
-	case TransformAdd:
-		lines = append(append(append(lines[:0:0], lines[:tr.Pos]...), tr.Atom), lines[tr.Pos:]...)
-	case TransformDelete:
-		lines = append(append(lines[:0:0], lines[:tr.Pos]...), lines[tr.Pos+1:]...)
-	}
-	vec := make([]float64, len(dim))
+// edgeVector embeds the post-transformation script into vec, a zeroed
+// vector over the corpus edge vocabulary, as normalized edge counts.
+func edgeVector(vec []float64, c *candidate, tr Transformation, v *entropy.Vocab) {
 	total := 0.0
-	for _, k := range dag.EdgeKeysOf(lines) {
-		if i, ok := dim[k]; ok {
+	for _, e := range dag.EdgesOf(transformed(c.lines, tr)) {
+		if i, ok := v.EdgeRank(e); ok {
 			vec[i]++
 			total++
 		}
@@ -72,7 +57,6 @@ func edgeVector(c *candidate, tr Transformation, dim map[string]int) []float64 {
 			vec[i] /= total
 		}
 	}
-	return vec
 }
 
 // kmeans runs Lloyd's algorithm with deterministic farthest-point seeding.

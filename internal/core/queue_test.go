@@ -394,6 +394,12 @@ func TestQueueSubmitObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The worker may still be on its way back from the first job; the
+	// one-slot buffer has room for the next job only once it takes the
+	// blocker (which then holds it for the injected delay).
+	for blocker.State() == JobQueued {
+		time.Sleep(time.Millisecond)
+	}
 	var drained []JobState
 	var dmu sync.Mutex
 	queued, err := q.SubmitObserved(context.Background(), batchJobs(t, 1)[0], func(s JobState) {

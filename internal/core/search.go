@@ -228,7 +228,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 
 	// Lemmatize the input and compute its baseline.
 	g := dag.Build(su)
-	orig := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	orig := newCandidate(g.Lines, st.Corpus.Vocab)
 	if o.enabled() {
 		o.emit(obs.Event{Kind: obs.EvSearchStart, Phase: obs.PhaseExtend, N: len(g.Lines)})
 	}
@@ -260,7 +260,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 	counter := &extendStats{}
 	beams := []*candidate{orig}
 	archive := []*candidate{orig}
-	globalSeen := map[string]bool{orig.key(): true}
+	globalSeen := map[string]bool{orig.key: true}
 	var searchErr error
 	pprof.SetGoroutineLabels(o.ctxExtend)
 	for step := 0; step < maxSeq && len(beams) > 0; step++ {
@@ -280,7 +280,7 @@ func (st *Standardizer) standardizeGridSession(ctx context.Context, sess interp.
 			}
 		}
 		for _, c := range next {
-			globalSeen[c.key()] = true
+			globalSeen[c.key] = true
 		}
 		// Every admitted candidate enters the verification archive, not just
 		// the K that continue: with early checking they already executed,
@@ -396,7 +396,7 @@ func less(a, b *candidate) bool {
 	if a.re != b.re {
 		return a.re < b.re
 	}
-	return a.key() < b.key()
+	return a.key < b.key
 }
 
 // limitSteps bounds the ranked transformation list to the top `limit` adds
@@ -519,11 +519,10 @@ func (st *Standardizer) extendAllParallel(ctx context.Context, o *obsState, sess
 	merged := map[string]bool{}
 	for i := 0; i < n; i++ {
 		for _, c := range results[i] {
-			key := c.key()
-			if merged[key] {
+			if merged[c.key] {
 				continue
 			}
-			merged[key] = true
+			merged[c.key] = true
 			next = append(next, c)
 		}
 		// Wall-clock phases accumulate CPU time across workers; ExecChecks
@@ -567,8 +566,7 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 			break
 		}
 		nc := cand.apply(tr, st.Corpus.Vocab)
-		key := nc.key()
-		if seen.has(key) {
+		if seen.has(nc.key) {
 			continue
 		}
 		if st.Config.EarlyCheck {
@@ -597,7 +595,7 @@ func (st *Standardizer) extendBeams(ctx context.Context, o *obsState, sess inter
 				o.emit(obs.Event{Kind: obs.EvCandidateExecuted, Phase: obs.PhaseCheck, Detail: tr.String(), Dur: dur})
 			}
 		}
-		seen.add(key)
+		seen.add(nc.key)
 		acc = append(acc, nc)
 		admitted++
 		res.Admitted++

@@ -349,7 +349,7 @@ func TestEarliestInsertPos(t *testing.T) {
 func TestCandidateApply(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	c := newCandidate(g.Lines, st.Corpus.Vocab)
 	atom := st.Corpus.Vocab.Lines["df = df.fillna(df.mean())"]
 	added := c.apply(Transformation{Type: TransformAdd, Atom: atom, Pos: 2}, st.Corpus.Vocab)
 	if len(added.lines) != len(c.lines)+1 {
@@ -365,6 +365,11 @@ func TestCandidateApply(t *testing.T) {
 	if del.lowWater != 1 {
 		t.Fatalf("delete lowWater = %d (deletes allow one step back)", del.lowWater)
 	}
+	for _, nc := range []*candidate{c, added, del} {
+		if want := dag.ToScript(nc.lines).Source(); nc.key != want {
+			t.Fatalf("key = %q, want the script source %q", nc.key, want)
+		}
+	}
 	// The original candidate is untouched.
 	if len(c.lines) != g.Script.NumStmts() {
 		t.Fatal("apply mutated the parent candidate")
@@ -374,7 +379,7 @@ func TestCandidateApply(t *testing.T) {
 func TestGetStepsRankedByRE(t *testing.T) {
 	st := newStandardizer(t, DefaultConfig())
 	g := dag.Build(script.MustParse(userScript))
-	c := &candidate{lines: g.Lines, re: st.Corpus.Vocab.RELines(g.Lines)}
+	c := newCandidate(g.Lines, st.Corpus.Vocab)
 	steps := getSteps(c, st.Corpus.Vocab)
 	if len(steps) == 0 {
 		t.Fatal("no steps enumerated")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"lucidscript/internal/dag"
 	"lucidscript/internal/entropy"
@@ -49,6 +50,7 @@ func (tr Transformation) String() string {
 // atoms, the score, the monotonicity low-water mark, and bookkeeping.
 type candidate struct {
 	lines    []dag.LineInfo
+	key      string // linesKey(lines): identity for ordering and dedup
 	re       float64
 	lowWater int // transformations must not touch positions before this
 	applied  []Transformation
@@ -56,43 +58,61 @@ type candidate struct {
 	parent   *candidate // lineage link for diversity-preserving selection
 }
 
-func (c *candidate) key() string {
-	s := ""
-	for _, li := range c.lines {
-		s += li.Key + "\n"
+// newCandidate returns the root candidate of a search over lines.
+func newCandidate(lines []dag.LineInfo, v *entropy.Vocab) *candidate {
+	return &candidate{lines: lines, key: linesKey(lines), re: v.RELines(lines)}
+}
+
+// linesKey joins the line-atom keys, each followed by a newline.
+func linesKey(lines []dag.LineInfo) string {
+	n := 0
+	for _, li := range lines {
+		n += len(li.Key) + 1
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	for _, li := range lines {
+		b.WriteString(li.Key)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// transformed returns a fresh line sequence: lines with tr applied.
+func transformed(lines []dag.LineInfo, tr Transformation) []dag.LineInfo {
+	if tr.Type == TransformDelete {
+		return without(lines, tr.Pos)
+	}
+	out := make([]dag.LineInfo, 0, len(lines)+1)
+	out = append(out, lines[:tr.Pos]...)
+	out = append(out, tr.Atom)
+	return append(out, lines[tr.Pos:]...)
+}
+
+// without returns a fresh line sequence: lines minus the line at i.
+func without(lines []dag.LineInfo, i int) []dag.LineInfo {
+	out := make([]dag.LineInfo, 0, len(lines)-1)
+	out = append(out, lines[:i]...)
+	return append(out, lines[i+1:]...)
 }
 
 // apply returns the candidate produced by one transformation, enforcing
 // monotonicity (optimization 3): the new low-water mark is the transformed
 // position, so later transformations cannot modify earlier lines.
 func (c *candidate) apply(tr Transformation, v *entropy.Vocab) *candidate {
-	var lines []dag.LineInfo
-	var low int
-	switch tr.Type {
-	case TransformAdd:
-		lines = make([]dag.LineInfo, 0, len(c.lines)+1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, tr.Atom)
-		lines = append(lines, c.lines[tr.Pos:]...)
-		low = tr.Pos + 1
-	case TransformDelete:
-		lines = make([]dag.LineInfo, 0, len(c.lines)-1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, c.lines[tr.Pos+1:]...)
+	low := tr.Pos + 1
+	if tr.Type == TransformDelete {
 		// Allow the next delete one position earlier: removing a multi-line
 		// block must proceed consumer-first (deleting a producer first breaks
 		// execution), which walks backwards one line at a time. This cannot
 		// repair non-executability (a consumer never precedes its producer in
 		// straight-line code), so the monotonicity invariant is preserved.
-		low = tr.Pos - 1
-		if low < 0 {
-			low = 0
-		}
+		low = max(tr.Pos-1, 0)
 	}
+	lines := transformed(c.lines, tr)
 	return &candidate{
 		lines:    lines,
+		key:      linesKey(lines),
 		re:       v.RELines(lines),
 		lowWater: low,
 		applied:  append(append([]Transformation(nil), c.applied...), tr),
@@ -257,31 +277,24 @@ func getStepsOpt(c *candidate, v *entropy.Vocab, lookahead bool) []Transformatio
 // ≥ pos (respecting monotonicity). It is a ranking signal only; the beam
 // still applies one delete at a time.
 func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int) float64 {
-	cur := append(append([]dag.LineInfo(nil), lines[:pos]...), lines[pos+1:]...)
+	cur := without(lines, pos)
 	best := v.RELines(cur)
-	low := pos - 1
-	if low < 0 {
-		low = 0
-	}
+	low := max(pos-1, 0)
 	for d := 1; d < depth; d++ {
 		bestI, bestRE := -1, best
 		for i := low; i < len(cur); i++ {
 			if protectedLine(cur[i]) || v.LineCounts[cur[i].Key] > 0 {
 				continue
 			}
-			nl := append(append([]dag.LineInfo(nil), cur[:i]...), cur[i+1:]...)
-			if re := v.RELines(nl); re < bestRE {
+			if re := v.RELines(without(cur, i)); re < bestRE {
 				bestRE, bestI = re, i
 			}
 		}
 		if bestI < 0 {
 			break
 		}
-		cur = append(append([]dag.LineInfo(nil), cur[:bestI]...), cur[bestI+1:]...)
-		low = bestI - 1
-		if low < 0 {
-			low = 0
-		}
+		cur = without(cur, bestI)
+		low = max(bestI-1, 0)
 		best = bestRE
 	}
 	return best
@@ -290,19 +303,7 @@ func deleteLookahead(lines []dag.LineInfo, pos int, v *entropy.Vocab, depth int)
 // reAfter scores a transformation by the RE of the resulting line sequence
 // without materializing a candidate.
 func reAfter(c *candidate, tr Transformation, v *entropy.Vocab) float64 {
-	var lines []dag.LineInfo
-	switch tr.Type {
-	case TransformAdd:
-		lines = make([]dag.LineInfo, 0, len(c.lines)+1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, tr.Atom)
-		lines = append(lines, c.lines[tr.Pos:]...)
-	case TransformDelete:
-		lines = make([]dag.LineInfo, 0, len(c.lines)-1)
-		lines = append(lines, c.lines[:tr.Pos]...)
-		lines = append(lines, c.lines[tr.Pos+1:]...)
-	}
-	return v.RELines(lines)
+	return v.RELines(transformed(c.lines, tr))
 }
 
 // sortSteps orders transformations by ascending RE with deterministic

@@ -62,13 +62,25 @@ func NewLineInfo(st script.Stmt) LineInfo {
 func EdgesOf(lines []LineInfo) []Edge {
 	lastWriter := map[string]int{}
 	var edges []Edge
+	// seen holds the writers already linked to the current line; it is
+	// bounded by one statement's reads, so a reused slice replaces a
+	// per-line map.
+	var seen []int
 	for i, li := range lines {
-		seen := map[int]bool{}
+		seen = seen[:0]
+	reads:
 		for _, r := range li.Reads {
-			if w, ok := lastWriter[r]; ok && !seen[w] {
-				seen[w] = true
-				edges = append(edges, Edge{From: lines[w].Key, To: li.Key})
+			w, ok := lastWriter[r]
+			if !ok {
+				continue
 			}
+			for _, s := range seen {
+				if s == w {
+					continue reads
+				}
+			}
+			seen = append(seen, w)
+			edges = append(edges, Edge{From: lines[w].Key, To: li.Key})
 		}
 		for _, w := range li.Writes {
 			lastWriter[w] = i

@@ -10,7 +10,9 @@ package entropy
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"lucidscript/internal/dag"
 )
@@ -40,6 +42,8 @@ type Vocab struct {
 	MeanPos map[string]float64
 	// NumScripts is the corpus size.
 	NumScripts int
+
+	idx *edgeIndex
 }
 
 // BuildVocab curates the search space from corpus DAGs with every script
@@ -152,6 +156,7 @@ func BuildVocabFromStats(stats []ScriptStats, atoms map[string]dag.LineInfo) *Vo
 	for k, n := range posN {
 		v.MeanPos[k] = posSum[k] / float64(n)
 	}
+	v.buildIndex()
 	return v
 }
 
@@ -165,91 +170,195 @@ func (v *Vocab) NumUniqueLines() int { return len(v.LineCounts) }
 func (v *Vocab) NumUniqueUnigrams() int { return len(v.UnigramCounts) }
 
 // SortedLineKeys returns the line-atom keys ordered by descending corpus
-// count, ties broken lexicographically, for deterministic enumeration.
-func (v *Vocab) SortedLineKeys() []string {
-	keys := make([]string, 0, len(v.LineCounts))
-	for k := range v.LineCounts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if v.LineCounts[keys[i]] != v.LineCounts[keys[j]] {
-			return v.LineCounts[keys[i]] > v.LineCounts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
+// count, ties broken lexicographically, for deterministic enumeration. The
+// order is computed once when the Vocab is built; the returned slice is
+// shared and must not be modified.
+func (v *Vocab) SortedLineKeys() []string { return v.idx.lineKeys }
+
+// EdgeRank returns the rank of the corpus edge e in ascending edge-key
+// order, and whether e is a corpus edge at all. The rank is the edge's
+// dimension in a dense vector over the corpus edge vocabulary.
+func (v *Vocab) EdgeRank(e dag.Edge) (int, bool) {
+	r, ok := v.idx.rank[e]
+	return int(r), ok
 }
 
-// REFromEdges computes the smoothed relative entropy of a script whose
-// data-flow edges are given as keys, against the corpus distribution.
-// An empty edge list yields the maximum possible RE over the union space
-// (a script with no steps is maximally non-standard relative to any corpus
-// with steps; the paper leaves this case undefined).
-func (v *Vocab) REFromEdges(edgeKeys []string) float64 {
-	p := map[string]int{}
-	for _, k := range edgeKeys {
-		p[k]++
+// RE computes the smoothed relative entropy of a script DAG w.r.t. the
+// corpus (Definition 4.1).
+func (v *Vocab) RE(g *dag.Graph) float64 { return v.RELines(g.Lines) }
+
+// RELines computes the smoothed relative entropy of a line-atom sequence
+// against the corpus distribution, deriving its edges first. This is the
+// scoring primitive of the search.
+//
+// Its cost depends only on the script: corpus edges are looked up in the
+// Vocab's index, and the union sample space (corpus edges plus script
+// edges) is counted rather than materialized. Terms are summed in ascending
+// order of the edge key From + " -> " + To, so the floating-point result is
+// reproducible, and two edges with equal keys form one term. An empty edge
+// list yields the maximum possible RE over the corpus edges (a script with
+// no steps is maximally non-standard relative to any corpus with steps; the
+// paper leaves this case undefined).
+func (v *Vocab) RELines(lines []dag.LineInfo) float64 {
+	edges := dag.EdgesOf(lines)
+	if len(edges) == 0 {
+		return v.idx.emptyRE
 	}
-	// Union sample space: corpus edges plus script edges.
-	space := make(map[string]bool, len(v.EdgeCounts)+len(p))
-	for k := range v.EdgeCounts {
-		space[k] = true
-	}
-	for k := range p {
-		space[k] = true
-	}
-	qTotal := float64(v.TotalEdges) + Epsilon*float64(len(space))
-	pTotal := float64(len(edgeKeys))
-	// Sum in sorted key order so the floating-point result is identical
-	// across runs (map iteration order would otherwise perturb ties in the
-	// beam search).
-	if pTotal == 0 {
-		// Treat as a uniform P over the space: maximally uninformative.
-		n := float64(len(space))
-		if n == 0 {
-			return 0
+	terms := make([]reTerm, len(edges))
+	for i, e := range edges {
+		if r, ok := v.idx.rank[e]; ok {
+			terms[i] = reTerm{key: edgeKey{v.idx.keys[r], "", ""}, rank: int(r), n: 1}
+		} else {
+			terms[i] = reTerm{key: edgeKey{e.From, edgeSep, e.To}, rank: -1, n: 1}
 		}
-		keys := make([]string, 0, len(space))
-		for k := range space {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		re := 0.0
-		for _, k := range keys {
-			px := 1.0 / n
-			qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
-			re += px * math.Log(px/qx)
-		}
-		return re
 	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
+	slices.SortFunc(terms, compareTerms)
+	// Merge equal keys; count the script edges the corpus lacks, which
+	// enlarge the union space.
+	m, absent := 0, 0
+	for i := range terms {
+		if m > 0 && compareTerms(terms[m-1], terms[i]) == 0 {
+			terms[m-1].n++
+			continue
+		}
+		if terms[i].rank < 0 {
+			absent++
+		}
+		terms[m] = terms[i]
+		m++
 	}
-	sort.Strings(keys)
+	qTotal := float64(v.TotalEdges) + Epsilon*float64(len(v.idx.keys)+absent)
+	pTotal := float64(len(edges))
 	re := 0.0
-	for _, k := range keys {
-		px := float64(p[k]) / pTotal
-		qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
+	for _, t := range terms[:m] {
+		count := 0
+		if t.rank >= 0 {
+			count = v.idx.counts[t.rank]
+		}
+		px := float64(t.n) / pTotal
+		qx := (float64(count) + Epsilon) / qTotal
 		re += px * math.Log(px/qx)
 	}
 	return re
 }
 
-// RE computes the smoothed relative entropy of a script DAG w.r.t. the
-// corpus (Definition 4.1).
-func (v *Vocab) RE(g *dag.Graph) float64 {
-	keys := make([]string, len(g.Edges))
-	for i, e := range g.Edges {
-		keys[i] = e.Key()
-	}
-	return v.REFromEdges(keys)
+// edgeIndex is a Vocab's read-only scoring index, built once with the
+// Vocab so that ranking a candidate costs time in the candidate's own
+// edges, not in the corpus size.
+type edgeIndex struct {
+	// keys are the corpus edge keys in ascending order; a key's position
+	// is its rank.
+	keys []string
+	// counts[r] is EdgeCounts[keys[r]].
+	counts []int
+	// rank maps every (From, To) split of a corpus edge key to the key's
+	// rank. A key containing " -> " inside an atom has several splits, so
+	// any edge whose rendered key is a corpus key is found without
+	// rendering it.
+	rank map[dag.Edge]int32
+	// lineKeys is the SortedLineKeys order.
+	lineKeys []string
+	// emptyRE is the RE of a script without edges: a uniform P over the
+	// corpus edges.
+	emptyRE float64
 }
 
-// RELines computes the smoothed relative entropy of a line-atom sequence,
-// deriving its edges first. This is the scoring primitive of the search.
-func (v *Vocab) RELines(lines []dag.LineInfo) float64 {
-	return v.REFromEdges(dag.EdgeKeysOf(lines))
+// buildIndex derives the scoring index from the Vocab's counts. Every
+// constructor calls it last; the counts must not change afterwards.
+func (v *Vocab) buildIndex() {
+	idx := &edgeIndex{
+		keys: make([]string, 0, len(v.EdgeCounts)),
+		rank: make(map[dag.Edge]int32, len(v.EdgeCounts)),
+	}
+	for k := range v.EdgeCounts {
+		idx.keys = append(idx.keys, k)
+	}
+	sort.Strings(idx.keys)
+	idx.counts = make([]int, len(idx.keys))
+	for r, k := range idx.keys {
+		idx.counts[r] = v.EdgeCounts[k]
+		for i := 0; ; i++ {
+			j := strings.Index(k[i:], edgeSep)
+			if j < 0 {
+				break
+			}
+			i += j
+			idx.rank[dag.Edge{From: k[:i], To: k[i+len(edgeSep):]}] = int32(r)
+		}
+	}
+	if n := float64(len(idx.keys)); n > 0 {
+		qTotal := float64(v.TotalEdges) + Epsilon*n
+		for _, c := range idx.counts {
+			px := 1.0 / n
+			qx := (float64(c) + Epsilon) / qTotal
+			idx.emptyRE += px * math.Log(px/qx)
+		}
+	}
+	idx.lineKeys = make([]string, 0, len(v.LineCounts))
+	for k := range v.LineCounts {
+		idx.lineKeys = append(idx.lineKeys, k)
+	}
+	sort.Slice(idx.lineKeys, func(i, j int) bool {
+		a, b := idx.lineKeys[i], idx.lineKeys[j]
+		if v.LineCounts[a] != v.LineCounts[b] {
+			return v.LineCounts[a] > v.LineCounts[b]
+		}
+		return a < b
+	})
+	v.idx = idx
+}
+
+// edgeSep joins an edge's atoms in its key (see dag.Edge.Key).
+const edgeSep = " -> "
+
+// edgeKey is an edge key held as the concatenation of its parts, so a
+// script edge can be ordered against corpus keys without rendering it.
+type edgeKey [3]string
+
+// compareEdgeKeys orders two keys as strings.Compare orders their
+// concatenations.
+func compareEdgeKeys(x, y edgeKey) int {
+	xi, yi := 0, 0
+	a, b := x[0], y[0]
+	for {
+		for a == "" && xi < len(x)-1 {
+			xi++
+			a = x[xi]
+		}
+		for b == "" && yi < len(y)-1 {
+			yi++
+			b = y[yi]
+		}
+		if a == "" || b == "" {
+			switch {
+			case a != "":
+				return 1
+			case b != "":
+				return -1
+			}
+			return 0
+		}
+		n := min(len(a), len(b))
+		if c := strings.Compare(a[:n], b[:n]); c != 0 {
+			return c
+		}
+		a, b = a[n:], b[n:]
+	}
+}
+
+// reTerm is one distinct edge key of a scored script: its rank among the
+// corpus edges (-1 when the corpus lacks it) and its multiplicity.
+type reTerm struct {
+	key  edgeKey
+	rank int
+	n    int
+}
+
+func compareTerms(a, b reTerm) int {
+	if a.rank >= 0 && b.rank >= 0 {
+		return a.rank - b.rank
+	}
+	return compareEdgeKeys(a.key, b.key)
 }
 
 // Improvement returns the paper's "% improvement" of a modified script over

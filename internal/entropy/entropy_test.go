@@ -2,12 +2,186 @@ package entropy
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"lucidscript/internal/corpusgen"
 	"lucidscript/internal/dag"
 	"lucidscript/internal/script"
 )
+
+// REFromEdges is the reference oracle for RELines: the smoothed relative
+// entropy of a script given as rendered edge keys, computed the direct
+// way, by materializing the union sample space and sorting rendered keys.
+func (v *Vocab) REFromEdges(edgeKeys []string) float64 {
+	p := map[string]int{}
+	for _, k := range edgeKeys {
+		p[k]++
+	}
+	space := make(map[string]bool, len(v.EdgeCounts)+len(p))
+	for k := range v.EdgeCounts {
+		space[k] = true
+	}
+	for k := range p {
+		space[k] = true
+	}
+	qTotal := float64(v.TotalEdges) + Epsilon*float64(len(space))
+	pTotal := float64(len(edgeKeys))
+	if pTotal == 0 {
+		n := float64(len(space))
+		if n == 0 {
+			return 0
+		}
+		keys := make([]string, 0, len(space))
+		for k := range space {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		re := 0.0
+		for _, k := range keys {
+			px := 1.0 / n
+			qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
+			re += px * math.Log(px/qx)
+		}
+		return re
+	}
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	re := 0.0
+	for _, k := range keys {
+		px := float64(p[k]) / pTotal
+		qx := (float64(v.EdgeCounts[k]) + Epsilon) / qTotal
+		re += px * math.Log(px/qx)
+	}
+	return re
+}
+
+// assertREMatchesOracle fails unless RELines equals the oracle bit for bit.
+func assertREMatchesOracle(t *testing.T, v *Vocab, lines []dag.LineInfo, what string) {
+	t.Helper()
+	got, want := v.RELines(lines), v.REFromEdges(dag.EdgeKeysOf(lines))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: RELines = %v (%#x), oracle %v (%#x)\nscript:\n%s", what,
+			got, math.Float64bits(got), want, math.Float64bits(want), dag.ToScript(lines).Source())
+	}
+}
+
+// mutate applies n seeded random deletes and adds (atoms drawn from pool)
+// to a copy of lines.
+func mutate(rng *rand.Rand, lines []dag.LineInfo, pool []dag.LineInfo, n int) []dag.LineInfo {
+	out := append([]dag.LineInfo(nil), lines...)
+	for i := 0; i < n; i++ {
+		if len(out) > 0 && rng.Intn(2) == 0 {
+			j := rng.Intn(len(out))
+			out = append(out[:j], out[j+1:]...)
+			continue
+		}
+		j := rng.Intn(len(out) + 1)
+		out = append(out[:j], append([]dag.LineInfo{pool[rng.Intn(len(pool))]}, out[j:]...)...)
+	}
+	return out
+}
+
+// arrowAtoms are statements whose source contains the edge-key separator,
+// so rendered keys order differently from (From, To) tuples.
+func arrowAtoms(t *testing.T) []dag.LineInfo {
+	t.Helper()
+	var out []dag.LineInfo
+	for _, src := range []string{
+		"df['a -> b'] = 1",
+		"df['a'] = 1",
+		"df['a -> b'] = df['a'] + 1",
+		"df['a'] = df['a -> b'] * 2",
+		"df = df.drop(columns=['a -> b'])",
+	} {
+		st, err := script.ParseStmt(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		out = append(out, dag.NewLineInfo(st))
+	}
+	return out
+}
+
+func TestRELinesMatchesOracleOnCompetitionCorpora(t *testing.T) {
+	arrows := arrowAtoms(t)
+	rng := rand.New(rand.NewSource(1))
+	for _, comp := range corpusgen.All() {
+		gen, err := comp.Generate(corpusgen.GenOptions{Seed: 1, RowScale: 0.001, MinRows: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var graphs []*dag.Graph
+		pool := append([]dag.LineInfo(nil), arrows...)
+		for _, s := range gen.ScriptsOnly() {
+			g := dag.Build(s)
+			graphs = append(graphs, g)
+			pool = append(pool, g.Lines...)
+		}
+		// Two corpus scripts carry the arrow atoms, so some of their
+		// edges are corpus edges and others are not.
+		for i := 0; i < 2; i++ {
+			lines := mutate(rng, graphs[i].Lines, arrows, 4)
+			graphs = append(graphs, &dag.Graph{Lines: lines, Edges: dag.EdgesOf(lines)})
+		}
+		v := BuildVocab(graphs)
+		assertREMatchesOracle(t, v, nil, comp.Name+" empty script")
+		for i, g := range graphs {
+			assertREMatchesOracle(t, v, g.Lines, comp.Name+" corpus script")
+			for m := 1; m <= 3; m++ {
+				lines := mutate(rng, g.Lines, pool, m*(i%4+1))
+				assertREMatchesOracle(t, v, lines, comp.Name+" mutated script")
+			}
+		}
+	}
+}
+
+// TestRELinesMatchesOracleOnAmbiguousKeys uses synthetic atoms whose keys
+// make two distinct edges render to one key ("a -> b" -> "c" and "a" ->
+// "b -> c"), which must score as a single term.
+func TestRELinesMatchesOracleOnAmbiguousKeys(t *testing.T) {
+	keys := []string{"a", "b", "c", "a -> b", "b -> c", "a -> b -> c", " -> ", "c -> ", ""}
+	vars := []string{"x", "y", "z"}
+	rng := rand.New(rand.NewSource(7))
+	randomLines := func(n int) []dag.LineInfo {
+		lines := make([]dag.LineInfo, n)
+		for i := range lines {
+			lines[i] = dag.LineInfo{
+				Key:    keys[rng.Intn(len(keys))],
+				Reads:  []string{vars[rng.Intn(len(vars))], vars[rng.Intn(len(vars))]},
+				Writes: []string{vars[rng.Intn(len(vars))]},
+			}
+		}
+		return lines
+	}
+	for trial := 0; trial < 200; trial++ {
+		var graphs []*dag.Graph
+		for i := rng.Intn(4); i >= 0; i-- {
+			lines := randomLines(rng.Intn(8))
+			graphs = append(graphs, &dag.Graph{Lines: lines, Edges: dag.EdgesOf(lines)})
+		}
+		v := BuildVocab(graphs)
+		for i := 0; i < 10; i++ {
+			assertREMatchesOracle(t, v, randomLines(rng.Intn(10)), "synthetic script")
+		}
+	}
+	// The ambiguous pair itself, with only one split in the corpus.
+	line := func(key, read, write string) dag.LineInfo {
+		return dag.LineInfo{Key: key, Reads: []string{read}, Writes: []string{write}}
+	}
+	corpus := []dag.LineInfo{line("a -> b", "-", "x"), line("c", "x", "y")}
+	v := BuildVocab([]*dag.Graph{{Lines: corpus, Edges: dag.EdgesOf(corpus)}})
+	other := []dag.LineInfo{line("a", "-", "x"), line("b -> c", "x", "y"), line("a -> b", "-", "x"), line("c", "x", "y")}
+	if rank, ok := v.EdgeRank(dag.Edge{From: "a", To: "b -> c"}); !ok || rank != 0 {
+		t.Fatalf("EdgeRank of the other split = %d, %v", rank, ok)
+	}
+	assertREMatchesOracle(t, v, other, "ambiguous pair")
+}
 
 func corpusGraphs(t *testing.T, srcs ...string) []*dag.Graph {
 	t.Helper()
@@ -89,12 +263,15 @@ func TestREFiniteOnUnseenEdges(t *testing.T) {
 
 func TestREEmptyScript(t *testing.T) {
 	v := BuildVocab(corpusGraphs(t, s1, s2))
-	re := v.REFromEdges(nil)
-	if math.IsNaN(re) || math.IsInf(re, 0) {
+	re := v.RELines(nil)
+	if math.IsNaN(re) || math.IsInf(re, 0) || re <= 0 {
 		t.Fatalf("empty-script RE = %v", re)
 	}
+	if oracle := v.REFromEdges(nil); math.Float64bits(re) != math.Float64bits(oracle) {
+		t.Fatalf("empty-script RE = %v, oracle %v", re, oracle)
+	}
 	empty := BuildVocab(nil)
-	if got := empty.REFromEdges(nil); got != 0 {
+	if got := empty.RELines(nil); got != 0 {
 		t.Fatalf("empty/empty RE = %v", got)
 	}
 }

@@ -82,6 +82,7 @@ func DecodeVocab(r io.Reader) (*Vocab, error) {
 		}
 		v.Lines[key] = li
 	}
+	v.buildIndex()
 	return v, nil
 }
 

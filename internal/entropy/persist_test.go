@@ -68,7 +68,8 @@ func TestDecodeVocabEmptyMaps(t *testing.T) {
 	if v.EdgeCounts == nil || v.LineCounts == nil || v.UnigramCounts == nil || v.MeanPos == nil {
 		t.Fatal("decoded maps must be non-nil")
 	}
-	if got := v.REFromEdges([]string{"a -> b"}); math.IsNaN(got) {
+	g := dag.Build(script.MustParse("import pandas as pd\ndf = pd.read_csv(\"d.csv\")\n"))
+	if got := v.RELines(g.Lines); math.IsNaN(got) {
 		t.Fatal("empty vocab should still score")
 	}
 }

@@ -31,28 +31,35 @@ type Env struct {
 // replaySource is a rand.Source whose exact state can be reconstructed: it
 // records the seed and how many values have been drawn, so a fork replays a
 // fresh source to the same position. The Int63 stream is identical to using
-// rand.NewSource(seed) directly, keeping historical run outputs stable.
+// rand.NewSource(seed) directly, keeping historical run outputs stable. The
+// underlying source (a 4.9 KB table) is created on the first draw, so
+// forking an environment whose script never samples costs no table.
 type replaySource struct {
 	seed int64
 	n    int64
-	src  rand.Source
+	src  rand.Source // nil until the first draw
 }
 
 func newReplaySource(seed int64) *replaySource {
-	return &replaySource{seed: seed, src: rand.NewSource(seed)}
+	return &replaySource{seed: seed}
 }
 
 func (r *replaySource) Int63() int64 {
+	if r.src == nil {
+		r.src = rand.NewSource(r.seed)
+	}
 	r.n++
 	return r.src.Int63()
 }
 
 func (r *replaySource) Seed(seed int64) {
-	r.seed, r.n = seed, 0
-	r.src.Seed(seed)
+	r.seed, r.n, r.src = seed, 0, nil
 }
 
 func (r *replaySource) fork() *replaySource {
+	if r.n == 0 {
+		return &replaySource{seed: r.seed}
+	}
 	src := rand.NewSource(r.seed)
 	for i := int64(0); i < r.n; i++ {
 		src.Int63()
